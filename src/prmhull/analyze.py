@@ -17,7 +17,6 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from multiprocessing import get_context
 
 import numpy as np
 
@@ -248,8 +247,11 @@ def _scan_generic(field, G, offset, target_w, stop_at):
         parts = [field.vadd(block, field.vscale(s, r)[None, :]) for s in range(field.q)]
         block = np.concatenate(parts)
 
-    plus = [r.copy() for r in out_rows]
-    minus = [field.vneg(r) for r in out_rows]
+    # Each outer symbol steps through the additive group F_p^e: row g
+    # becomes the e rows x^b * g (element index p^b is x^b), and the walk
+    # runs over e digits of radix p per symbol.
+    plus = [field.vscale(field.p**b, r) for r in out_rows for b in range(field.e)]
+    minus = [field.vneg(r) for r in plus]
     cur = offset.astype(np.int32)
 
     counts = np.zeros(N + 1, dtype=np.int64)
@@ -268,7 +270,7 @@ def _scan_generic(field, G, offset, target_w, stop_at):
     process()
     if stop_at is not None and counts[1:stop_at].any():
         return counts, supports, True
-    for pos, delta in _gray_steps(field.q, len(out_rows)):
+    for pos, delta in _gray_steps(field.p, len(plus)):
         step = plus[pos] if delta > 0 else minus[pos]
         cur = field.vadd(cur, step)
         process()
@@ -331,6 +333,8 @@ def _scan_parallel(C: LinearCode, target_w, workers: int, method: str):
         (field.q, G, digits, target_w, method)
         for digits in itertools.product(range(field.q), repeat=d)
     ]
+    from multiprocessing import get_context
+
     with get_context("fork").Pool(workers) as pool:
         parts = pool.map(_scan_task, tasks)
     counts = np.zeros(C.N + 1, dtype=np.int64)

@@ -25,7 +25,6 @@ import math
 import sys
 import time
 import traceback
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -38,26 +37,15 @@ from .analyze import (
     weight_distribution,
     weight_distribution_with_supports,
 )
-from .code import (
-    code_from_rows,
-    contains_vector,
-    dual,
-    equal_codes,
-    hull,
-    is_lcd,
-    is_self_dual,
-    is_self_orthogonal,
-)
-from .errors import BudgetExceeded, NotPrimePower, OutOfRange, PrmHullError
+from .code import code_from_rows, contains_vector, dual, equal_codes, hull
+from .errors import BudgetExceeded, NotPrimePower, OutOfRange, PrmHullError, UsageError
 from .exactla import MatrixFq
 from .field import field_make
 from .geometry import evaluate, projective_points
 from .prm import (
     NO_CLOSED_FORM,
-    ClassificationReport,
     PrmParams,
     classification_report,
-    classify_predicted,
     described_dual_code,
     dim_mr,
     dim_sorensen,
@@ -65,11 +53,11 @@ from .prm import (
     hull_basis_predicted,
     hull_dim_cases,
     hull_dim_predicted,
-    lcd_witness,
     min_dist_formula,
     prm_code,
     rsj_hull_dim,
 )
+from .sweep import SweepSpec, run_sweep
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -99,10 +87,6 @@ REFERENCE_WEIGHT_DISTRIBUTIONS: dict[tuple[int, int, int], dict[int, int]] = {
 REFERENCE_DESIGNS: dict[tuple[int, int, int], dict[str, int]] = {
     (3, 3, 3): {"w": 9, "t": 2, "words": 1040, "blocks": 520, "lambda": 24},
 }
-
-
-class UsageError(Exception):
-    """Bad command-line input detected after argparse (exit 64)."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -355,7 +339,10 @@ def cmd_wenum(args) -> int:
             text = Path(args.read_matrix).read_text()
         except OSError as exc:
             raise UsageError(f"cannot read matrix file: {exc}") from exc
-        M = MatrixFq.from_text(text)
+        try:
+            M = MatrixFq.from_text(text)
+        except ValueError as exc:
+            raise UsageError(f"bad matrix file: {exc}") from exc
         C = code_from_rows(M.field, M.a, label=args.read_matrix)
         key = None
     else:
@@ -456,169 +443,6 @@ def cmd_design(args) -> int:
 # sweep
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """Grid description for the cross-validation sweep.
-
-    k_policy is "all" (meaning 1..n(q-1) at each point) or an explicit
-    tuple of degrees, filtered to the valid range per (n, q).
-    distance_budget > 0 additionally verifies min_distance against the
-    formula for every code with q^K <= distance_budget.
-    """
-
-    n_list: tuple[int, ...]
-    q_list: tuple[int, ...]
-    k_policy: str | tuple[int, ...] = "all"
-    budget: int = DEFAULT_BUDGET
-    workers: int = 1
-    out: str | None = None
-    fmt: str = "table"
-    distance_budget: int = 0
-
-
-def _sweep_point(field, n: int, k: int, get_code) -> dict:
-    q = field.q
-    t = n * (q - 1)
-    C = get_code(k)
-    K_s = dim_sorensen(n, k, q)
-    K_m = dim_mr(n, k, q)
-    dims_ok = K_s == K_m == C.K
-
-    D = dual(C)
-    desc = dual_description(n, k, q)
-    if desc.ell == 0:
-        E = prm_code(field, n, 0)
-    elif desc.adjoin_ones:
-        ones = np.ones((1, C.N), dtype=np.int32)
-        E = code_from_rows(field, np.vstack([ones, get_code(desc.ell).G.a]))
-    else:
-        E = get_code(desc.ell)
-    dual_ok = equal_codes(D, E)
-    ones_outside = None
-    if desc.adjoin_ones and desc.ell >= 1:
-        ones_outside = not contains_vector(
-            get_code(desc.ell), np.ones(C.N, dtype=np.int32)
-        )
-
-    pred = dict(classify_predicted(n, k, q))
-    pred["hull_dim"] = hull_dim_predicted(n, k, q)
-    rep = hull(C)
-    cons = {
-        "self_dual": is_self_dual(C),
-        "self_orthogonal": is_self_orthogonal(C),
-        "lcd": is_lcd(C),
-        "hull_dim": rep.hull_dim,
-    }
-    dual_hull_dim = D.K - D.gram_rank()
-    witness_ok = None
-    if 1 <= k < t:
-        wvec = lcd_witness(field, n, k)
-        witness_ok = contains_vector(C, wvec) and contains_vector(D, wvec)
-
-    closed = pred["hull_dim"] is not NO_CLOSED_FORM
-    class_ok = all(
-        pred[key] == cons[key] for key in ("self_dual", "self_orthogonal", "lcd")
-    )
-    agree = (
-        dims_ok
-        and dual_ok
-        and class_ok
-        and (not closed or pred["hull_dim"] == cons["hull_dim"])
-        and ones_outside is not False
-        and witness_ok is not False
-        and cons["hull_dim"] == dual_hull_dim
-    )
-    report = ClassificationReport(
-        PrmParams(n, k, q),
-        C.N,
-        C.K,
-        min_dist_formula(n, k, q),
-        pred,
-        cons,
-        agree,
-        "closed-form" if closed else "constructive",
-    )
-    row = report.to_json()
-    row.update(
-        K_sorensen=K_s,
-        K_mr=K_m,
-        rank_G=C.K,
-        gram_rank=rep.gram_rank,
-        dual_hull_dim=dual_hull_dim,
-        dims_match=dims_ok,
-        dual_verified=dual_ok,
-        ones_outside_dual_base=ones_outside,
-        witness_in_hull=witness_ok,
-        hull_cases=[label for label, _ in hull_dim_cases(n, k, q)],
-        min_distance=None,
-        distance_matches_formula=None,
-    )
-    return row
-
-
-def run_sweep(spec: SweepSpec, log=None) -> tuple[list[dict], dict]:
-    """Execute the sweep and return (rows, summary).
-
-    Raises:
-        UsageError: empty grid.
-        NotPrimePower: some q in ``spec.q_list`` is not a prime power.
-    """
-    if not spec.n_list or not spec.q_list:
-        raise UsageError("sweep needs nonempty --n and --q lists")
-    if spec.k_policy != "all" and not spec.k_policy:
-        raise UsageError("sweep needs a nonempty --k list (or 'all')")
-    if any(n < 1 for n in spec.n_list):
-        raise UsageError("sweep needs every n >= 1")
-    fields = [field_make(q) for q in spec.q_list]
-    rows: list[dict] = []
-    for field in fields:
-        q = field.q
-        for n in spec.n_list:
-            t0 = time.monotonic()
-            t = n * (q - 1)
-            if spec.k_policy == "all":
-                ks = list(range(1, t + 1))
-            else:
-                ks = sorted(k for k in set(spec.k_policy) if 1 <= k <= t)
-            codes: dict[int, object] = {}
-
-            def get_code(k, _field=field, _n=n, _codes=codes):
-                if k not in _codes:
-                    _codes[k] = prm_code(_field, _n, k)
-                return _codes[k]
-
-            for k in ks:
-                row = _sweep_point(field, n, k, get_code)
-                if spec.distance_budget and q ** row["K"] <= spec.distance_budget:
-                    d = min_distance(
-                        get_code(k),
-                        budget=spec.distance_budget,
-                        stop_at=row["D_formula"],
-                    )
-                    row["min_distance"] = d
-                    row["distance_matches_formula"] = d == row["D_formula"]
-                    row["agree"] = row["agree"] and row["distance_matches_formula"]
-                rows.append(row)
-            if log is not None:
-                print(
-                    f"sweep q={q} n={n}: {len(ks)} points "
-                    f"in {time.monotonic() - t0:.1f}s",
-                    file=log,
-                )
-            codes.clear()
-    if not rows:
-        raise UsageError("sweep grid is empty (no valid (n, k, q) points)")
-    summary = {
-        "points": len(rows),
-        "agree": sum(1 for r in rows if r["agree"]),
-        "disagree": sum(1 for r in rows if not r["agree"]),
-        "no_closed_form": sum(
-            1 for r in rows if r["hull_dim_source"] == "constructive"
-        ),
-    }
-    return rows, summary
-
-
 _CSV_COLUMNS = [
     "n", "k", "q", "N", "K", "K_sorensen", "K_mr", "rank_G", "D_formula",
     "predicted_self_dual", "predicted_self_orthogonal", "predicted_lcd",
@@ -663,22 +487,15 @@ def _sweep_table_line(row: dict) -> str:
 
 
 def cmd_sweep(args) -> int:
-    if args.workers < 1:
-        raise UsageError("--workers must be >= 1")
     k_policy: str | tuple[int, ...]
     if args.k.strip() == "all":
         k_policy = "all"
     else:
         k_policy = _parse_int_list(args.k, "--k")
-    fmt = "json" if args.json else ("csv" if args.csv else "table")
     spec = SweepSpec(
         n_list=_parse_int_list(args.n, "--n"),
         q_list=_parse_int_list(args.q, "--q"),
         k_policy=k_policy,
-        budget=args.budget,
-        workers=args.workers,
-        out=args.out,
-        fmt=fmt,
         distance_budget=args.distances,
     )
     rows, summary = run_sweep(spec, log=sys.stderr)
@@ -687,16 +504,16 @@ def cmd_sweep(args) -> int:
         f"disagree={summary['disagree']} no-closed-form={summary['no_closed_form']}"
     )
 
-    if spec.fmt == "json":
+    if args.json:
         text = json.dumps({"rows": rows, "summary": summary}, indent=2)
-        if spec.out:
-            Path(spec.out).write_text(text + "\n")
+        if args.out:
+            Path(args.out).write_text(text + "\n")
             print(summary_line)
         else:
             print(text)
-    elif spec.fmt == "csv":
-        if spec.out:
-            with open(spec.out, "w", newline="") as handle:
+    elif args.csv:
+        if args.out:
+            with open(args.out, "w", newline="") as handle:
                 writer = csv.DictWriter(handle, fieldnames=_CSV_COLUMNS)
                 writer.writeheader()
                 writer.writerows(_flatten_row(r) for r in rows)
@@ -837,22 +654,18 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="prmhull", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="emit a JSON payload")
-    common.add_argument(
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--json", action="store_true", help="emit a JSON payload")
+
+    enum = argparse.ArgumentParser(add_help=False)
+    enum.add_argument(
         "--budget",
         type=int,
         default=DEFAULT_BUDGET,
         help="maximum number of codewords an enumeration may visit",
     )
-    common.add_argument(
+    enum.add_argument(
         "--workers", type=int, default=1, help="process count for enumerations"
-    )
-    common.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help="reserved; every computation is deterministic",
     )
 
     point = argparse.ArgumentParser(add_help=False)
@@ -861,7 +674,7 @@ def _build_parser() -> argparse.ArgumentParser:
     point.add_argument("--q", type=int, required=True, help="field size (prime power)")
 
     p = sub.add_parser(
-        "params", parents=[point, common], help="closed-form code parameters"
+        "params", parents=[point, fmt], help="closed-form code parameters"
     )
     p.add_argument(
         "--emit-matrix", action="store_true", help="print the generator matrix"
@@ -870,13 +683,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "classify",
-        parents=[point, common],
+        parents=[point, fmt],
         help="predicted vs measured self-dual/self-orthogonal/LCD",
     )
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser(
-        "hull", parents=[point, common], help="constructive hull vs closed form"
+        "hull", parents=[point, fmt], help="constructive hull vs closed form"
     )
     p.add_argument(
         "--emit-basis",
@@ -890,13 +703,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "dual-check",
-        parents=[point, common],
+        parents=[point, fmt],
         help="verify the duality description by row-space equality",
     )
     p.set_defaults(func=cmd_dual_check)
 
     p = sub.add_parser(
-        "wenum", parents=[common], help="exhaustive weight distribution"
+        "wenum", parents=[fmt, enum], help="exhaustive weight distribution"
     )
     p.add_argument("--n", type=int, help="projective dimension")
     p.add_argument("--k", type=int, help="degree")
@@ -916,7 +729,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "design",
-        parents=[point, common],
+        parents=[point, fmt, enum],
         help="block design from fixed-weight supports",
     )
     p.add_argument(
@@ -926,7 +739,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_design)
 
     p = sub.add_parser(
-        "sweep", parents=[common], help="formula cross-validation over a grid"
+        "sweep", parents=[fmt], help="formula cross-validation over a grid"
     )
     p.add_argument("--n", default="1,2,3", help="comma-separated n values")
     p.add_argument("--q", default="2,3,4,5,7,8,9", help="comma-separated q values")
@@ -942,7 +755,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("selftest", parents=[common], help="embedded end-to-end checks")
+    p = sub.add_parser("selftest", parents=[enum], help="embedded end-to-end checks")
     p.add_argument(
         "--full",
         action="store_true",

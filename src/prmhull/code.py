@@ -10,15 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatch, FieldMismatch, InternalInconsistency
-from .exactla import (
-    MatrixFq,
-    SubspaceBasis,
-    intersect_rowspaces,
-    mat_mul,
-    nullspace,
-    rank,
-    transpose,
-)
+from .exactla import MatrixFq, SubspaceBasis, mat_mul, rank, transpose
 from .field import Field
 
 
@@ -27,18 +19,29 @@ class LinearCode:
 
     The generator is stored exactly as given (no auto-canonicalization)
     so that row i keeps its meaning — for Reed-Muller codes, the i-th
-    basis monomial. Canonical forms appear only inside equality checks.
+    basis monomial. The RREF computed for the rank check is kept as the
+    canonical basis, so each code is row-reduced once.
     """
 
     def __init__(self, G: MatrixFq, label: str = ""):
-        r = rank(G)
-        if r != G.rows:
+        basis = SubspaceBasis.from_matrix(G)
+        if basis.dim != G.rows:
             raise DimensionMismatch(
-                f"generator rows are dependent: rank {r} < rows {G.rows}"
+                f"generator rows are dependent: rank {basis.dim} < rows {G.rows}"
             )
+        self._set(G, basis, label)
+
+    @classmethod
+    def from_basis(cls, basis: SubspaceBasis, label: str = "") -> "LinearCode":
+        """The code generated by a canonical basis, which is its own RREF."""
+        C = cls.__new__(cls)
+        C._set(basis.matrix, basis, label)
+        return C
+
+    def _set(self, G: MatrixFq, basis: SubspaceBasis, label: str) -> None:
         self.G = G
         self.label = label
-        self._canonical: SubspaceBasis | None = None
+        self._canonical = basis
         self._gram: MatrixFq | None = None
         self._gram_rank: int | None = None
         self._dual: "LinearCode | None" = None
@@ -56,8 +59,6 @@ class LinearCode:
         return self.G.rows
 
     def canonical(self) -> SubspaceBasis:
-        if self._canonical is None:
-            self._canonical = SubspaceBasis.from_matrix(self.G)
         return self._canonical
 
     def gram(self) -> MatrixFq:
@@ -79,7 +80,7 @@ class LinearCode:
 class HullReport:
     """Hull of a code computed two independent ways.
 
-    hull_dim comes from the explicit subspace intersection; gram_rank
+    hull_dim comes from the orthogonal complement of C + C^⊥; gram_rank
     from row-reducing G G^T. The relation hull_dim = K - gram_rank is
     asserted at construction.
     """
@@ -97,18 +98,16 @@ class HullReport:
 
 
 def dual(C: LinearCode) -> LinearCode:
-    """The dual code, generated by a canonical basis of the right kernel.
+    """The dual code, generated by the canonical basis of the complement.
 
     The result is cached on the code, so repeated calls (e.g. by hull
     computation and an explicit duality check) share one kernel solve.
     """
     if C._dual is not None:
         return C._dual
-    ns = nullspace(C.G)
-    D = LinearCode(ns.matrix, label=f"dual({C.label})" if C.label else "dual")
-    # The kernel basis comes out already in RREF, so the canonical form
-    # is free.
-    D._canonical = ns
+    D = LinearCode.from_basis(
+        C.canonical().complement(), label=f"dual({C.label})" if C.label else "dual"
+    )
     prod = mat_mul(C.G, transpose(D.G))
     assert not prod.a.any(), "dual rows must be orthogonal to generator rows"
     assert D.K == C.N - C.K
@@ -117,14 +116,14 @@ def dual(C: LinearCode) -> LinearCode:
 
 
 def hull(C: LinearCode) -> HullReport:
-    """Hull = C ∩ C^⊥, cross-checked against K - rank(G G^T).
+    """Hull = C ∩ C^⊥ = (C + C^⊥)^⊥, cross-checked against K - rank(G G^T).
 
     Raises:
         InternalInconsistency: if the two computations disagree (a
         linear-algebra bug, not a property of the input).
     """
-    D = dual(C)
-    basis = intersect_rowspaces(C.G, D.G)
+    stacked = MatrixFq(C.field, np.vstack([C.G.a, dual(C).G.a]))
+    basis = SubspaceBasis.from_matrix(stacked).complement()
     gr = C.gram_rank()
     if basis.dim != C.K - gr:
         raise InternalInconsistency(
@@ -177,7 +176,4 @@ def code_from_rows(field: Field, rows, label: str = "") -> LinearCode:
     RREF basis of their span.
     """
     M = MatrixFq(field, np.asarray(rows, dtype=np.int32))
-    basis = SubspaceBasis.from_matrix(M)
-    C = LinearCode(basis.matrix, label=label)
-    C._canonical = basis
-    return C
+    return LinearCode.from_basis(SubspaceBasis.from_matrix(M), label=label)

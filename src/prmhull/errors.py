@@ -36,3 +36,10 @@ class OutOfRange(PrmHullError):
 
 class BudgetExceeded(PrmHullError):
     """An exhaustive enumeration would exceed the allowed message count."""
+
+
+class UsageError(PrmHullError):
+    """A request that cannot run as given, such as an empty sweep grid.
+
+    The command-line tool reports it with exit code 64.
+    """

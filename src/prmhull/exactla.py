@@ -1,4 +1,4 @@
-"""Exact dense linear algebra over F_q: RREF, rank, nullspace, intersection.
+"""Exact dense linear algebra over F_q: RREF, rank, complements, intersection.
 
 Matrices are numpy int32 arrays of element indices wrapped with their
 field. Row reduction picks pivots deterministically (first nonzero entry
@@ -114,6 +114,23 @@ class SubspaceBasis:
     def from_matrix(cls, M: MatrixFq) -> "SubspaceBasis":
         R, pivots, r = rref(M)
         return cls(MatrixFq(M.field, R.a[:r]), pivots)
+
+    def complement(self) -> "SubspaceBasis":
+        """Canonical basis of the orthogonal complement {x : b·x = 0 for all rows b}.
+
+        Row i of the free-column basis has a 1 in the i-th non-pivot
+        column, zeros in the other non-pivot columns, and minus that
+        column of the RREF in the pivot columns. It is reduced only in
+        reversed column order, so it is row-reduced once more.
+        """
+        f = self.matrix.field
+        pivots = set(self.pivots)
+        free = [c for c in range(self.ambient) if c not in pivots]
+        basis = np.zeros((len(free), self.ambient), dtype=np.int32)
+        basis[np.arange(len(free)), free] = 1
+        if self.dim:
+            basis[:, list(self.pivots)] = f.vneg(self.matrix.a[:, free].T)
+        return SubspaceBasis.from_matrix(MatrixFq(f, basis))
 
     def contains_rows(self, V: np.ndarray) -> bool:
         """True iff every row of V lies in the span.
@@ -385,39 +402,14 @@ def mat_mul(A: MatrixFq, B: MatrixFq) -> MatrixFq:
 
 def nullspace(M: MatrixFq) -> SubspaceBasis:
     """Canonical basis of the right kernel {x : M x^T = 0}."""
-    f = M.field
-    R, pivots, r = rref(M)
-    cols = M.cols
-    free = [c for c in range(cols) if c not in set(pivots)]
-    basis = np.zeros((len(free), cols), dtype=np.int32)
-    if free:
-        basis[np.arange(len(free)), free] = 1
-        if r:
-            basis[:, list(pivots)] = f.vneg(R.a[:r][:, free].T)
-    # the standard free-column basis is not in RREF order; canonicalize
-    return SubspaceBasis.from_matrix(MatrixFq(f, basis))
+    return SubspaceBasis.from_matrix(M).complement()
 
 
 def intersect_rowspaces(A: MatrixFq, B: MatrixFq) -> SubspaceBasis:
-    """Canonical basis of rowspace(A) ∩ rowspace(B) by the Zassenhaus method.
-
-    Row-reduces [[A, A], [B, 0]]; rows whose left half vanished carry the
-    intersection in their right half, already in canonical RREF order.
-    """
+    """Canonical basis of rowspace(A) ∩ rowspace(B), as (A^⊥ + B^⊥)^⊥."""
     if A.field != B.field:
         raise FieldMismatch(f"{A.field} vs {B.field}")
     if A.cols != B.cols:
         raise DimensionMismatch(f"ambient {A.cols} vs {B.cols}")
-    f = A.field
-    n = A.cols
-    block = np.zeros((A.rows + B.rows, 2 * n), dtype=np.int32)
-    block[: A.rows, :n] = A.a
-    block[: A.rows, n:] = A.a
-    block[A.rows :, :n] = B.a
-    R, _ = _rref_array(f, block)
-    nonzero_left = R[:, :n].any(axis=1)
-    nonzero_any = R.any(axis=1)
-    keep = ~nonzero_left & nonzero_any
-    out = R[keep][:, n:]
-    pivots = tuple(int(np.argmax(row != 0)) for row in out)
-    return SubspaceBasis(MatrixFq(f, out), pivots)
+    perp = np.vstack([nullspace(A).matrix.a, nullspace(B).matrix.a])
+    return nullspace(MatrixFq(A.field, perp))

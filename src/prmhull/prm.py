@@ -381,11 +381,16 @@ class ClassificationReport:
 def classification_report(field: Field, n: int, k: int) -> ClassificationReport:
     """Build the code, measure its predicates and hull, and compare with
     every closed-form prediction available at (n, k, q)."""
-    q = field.q
-    _require_proper(n, k, q)
+    _require_proper(n, k, field.q)
+    return classify_code(prm_code(field, n, k))
+
+
+def classify_code(C: PrmCode) -> ClassificationReport:
+    """Measure the predicates and hull of a proper code C(n, k, q) and
+    compare them with every closed-form prediction at its point."""
+    n, k, q = C.n, C.k, C.field.q
     pred = dict(classify_predicted(n, k, q))
     pred["hull_dim"] = hull_dim_predicted(n, k, q)
-    C = prm_code(field, n, k)
     rep = hull(C)
     cons = {
         "self_dual": is_self_dual(C),

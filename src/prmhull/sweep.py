@@ -1,0 +1,167 @@
+"""Formula cross-validation over a grid of parameter points.
+
+Each point builds the code C(n, k, q) and checks every closed form the
+package knows against a constructive computation: both dimension
+formulas against the rank, the duality description against the computed
+dual, the classification and hull dimension (shared with
+``classification_report``), hull(C) = hull(C^⊥) in dimension, the LCD
+witness, and optionally the minimum distance by exhaustive search.
+"""
+
+from __future__ import annotations
+
+import time
+from dataclasses import dataclass
+
+import numpy as np
+
+from .analyze import min_distance
+from .code import code_from_rows, contains_vector, dual, equal_codes
+from .errors import UsageError
+from .field import field_make
+from .prm import (
+    classify_code,
+    dim_mr,
+    dim_sorensen,
+    dual_description,
+    hull_dim_cases,
+    lcd_witness,
+    prm_code,
+)
+
+
+@dataclass(frozen=True)
+class SweepSpec:
+    """Grid description for the cross-validation sweep.
+
+    k_policy is "all" (meaning 1..n(q-1) at each point) or an explicit
+    tuple of degrees, filtered to the valid range per (n, q).
+    distance_budget > 0 additionally verifies min_distance against the
+    formula for every code with q^K <= distance_budget.
+    """
+
+    n_list: tuple[int, ...]
+    q_list: tuple[int, ...]
+    k_policy: str | tuple[int, ...] = "all"
+    distance_budget: int = 0
+
+
+def _sweep_row(field, n: int, k: int, get_code) -> dict:
+    """One grid point: the classification report plus the sweep's checks."""
+    q = field.q
+    C = get_code(k)
+    report = classify_code(C)
+    K_s = dim_sorensen(n, k, q)
+    K_m = dim_mr(n, k, q)
+    dims_ok = K_s == K_m == C.K
+
+    D = dual(C)
+    ones = np.ones((1, C.N), dtype=np.int32)
+    desc = dual_description(n, k, q)
+    if desc.ell == 0:
+        E = prm_code(field, n, 0)
+    elif desc.adjoin_ones:
+        E = code_from_rows(field, np.vstack([ones, get_code(desc.ell).G.a]))
+    else:
+        E = get_code(desc.ell)
+    dual_ok = equal_codes(D, E)
+    ones_outside = None
+    if desc.adjoin_ones and desc.ell >= 1:
+        ones_outside = not contains_vector(get_code(desc.ell), ones)
+
+    dual_hull_dim = D.K - D.gram_rank()
+    witness_ok = None
+    if k < n * (q - 1):
+        wvec = lcd_witness(field, n, k)
+        witness_ok = contains_vector(C, wvec) and contains_vector(D, wvec)
+
+    row = report.to_json()
+    row["agree"] = (
+        report.agree
+        and dims_ok
+        and dual_ok
+        and ones_outside is not False
+        and witness_ok is not False
+        and report.constructed["hull_dim"] == dual_hull_dim
+    )
+    row.update(
+        K_sorensen=K_s,
+        K_mr=K_m,
+        rank_G=C.K,
+        gram_rank=C.gram_rank(),
+        dual_hull_dim=dual_hull_dim,
+        dims_match=dims_ok,
+        dual_verified=dual_ok,
+        ones_outside_dual_base=ones_outside,
+        witness_in_hull=witness_ok,
+        hull_cases=[label for label, _ in hull_dim_cases(n, k, q)],
+        min_distance=None,
+        distance_matches_formula=None,
+    )
+    return row
+
+
+def run_sweep(spec: SweepSpec, log=None) -> tuple[list[dict], dict]:
+    """Execute the sweep and return (rows, summary).
+
+    Progress lines, one per (q, n) slice, go to ``log`` when it is given.
+
+    Raises:
+        UsageError: empty grid.
+        NotPrimePower: some q in ``spec.q_list`` is not a prime power.
+    """
+    if not spec.n_list or not spec.q_list:
+        raise UsageError("sweep needs nonempty --n and --q lists")
+    if spec.k_policy != "all" and not spec.k_policy:
+        raise UsageError("sweep needs a nonempty --k list (or 'all')")
+    if any(n < 1 for n in spec.n_list):
+        raise UsageError("sweep needs every n >= 1")
+    fields = [field_make(q) for q in spec.q_list]
+    rows: list[dict] = []
+    for field in fields:
+        q = field.q
+        for n in spec.n_list:
+            t0 = time.monotonic()
+            t = n * (q - 1)
+            if spec.k_policy == "all":
+                ks = list(range(1, t + 1))
+            else:
+                ks = sorted(k for k in set(spec.k_policy) if 1 <= k <= t)
+            # Point k also needs the code of degree n(q-1) - k, so the
+            # codes of one (q, n) slice are built once and shared.
+            codes: dict[int, object] = {}
+
+            def get_code(k, _field=field, _n=n, _codes=codes):
+                if k not in _codes:
+                    _codes[k] = prm_code(_field, _n, k)
+                return _codes[k]
+
+            for k in ks:
+                row = _sweep_row(field, n, k, get_code)
+                if spec.distance_budget and q ** row["K"] <= spec.distance_budget:
+                    d = min_distance(
+                        get_code(k),
+                        budget=spec.distance_budget,
+                        stop_at=row["D_formula"],
+                    )
+                    row["min_distance"] = d
+                    row["distance_matches_formula"] = d == row["D_formula"]
+                    row["agree"] = row["agree"] and row["distance_matches_formula"]
+                rows.append(row)
+            if log is not None:
+                print(
+                    f"sweep q={q} n={n}: {len(ks)} points "
+                    f"in {time.monotonic() - t0:.1f}s",
+                    file=log,
+                )
+    if not rows:
+        raise UsageError("sweep grid is empty (no valid (n, k, q) points)")
+    summary = {
+        "points": len(rows),
+        "agree": sum(1 for r in rows if r["agree"]),
+        "disagree": sum(1 for r in rows if not r["agree"]),
+        "no_closed_form": sum(
+            1 for r in rows if r["hull_dim_source"] == "constructive"
+        ),
+    }
+    return rows, summary

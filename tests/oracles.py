@@ -55,6 +55,22 @@ def ref_rowspace(field, M):
     return out
 
 
+def ref_orthogonal(field, M):
+    """Every vector orthogonal to all rows of M, as a set of tuples (exponential)."""
+    M = np.asarray(M)
+    out = set()
+    for v in itertools.product(range(field.q), repeat=M.shape[1]):
+        for row in M:
+            dot = 0
+            for x, y in zip(v, row):
+                dot = field.add(dot, field.mul(x, int(y)))
+            if dot:
+                break
+        else:
+            out.add(v)
+    return out
+
+
 def ref_matmul(field, A, B):
     """Triple-loop exact matrix product."""
     A = np.asarray(A)

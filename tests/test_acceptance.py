@@ -16,10 +16,10 @@ import numpy as np
 import pytest
 
 from prmhull.analyze import design_lambda, min_distance, weight_distribution_with_supports
-from prmhull.cli import SweepSpec, run_sweep
 from prmhull.field import field_make, power_sum
 from prmhull.geometry import evaluate, projective_points, reduce_monomial
 from prmhull.prm import dim_sorensen, prm_code, rsj_hull_dim
+from prmhull.sweep import SweepSpec, run_sweep
 
 SWEEP_N = (1, 2, 3)
 SWEEP_Q = (2, 3, 4, 5, 7, 8, 9)
@@ -95,7 +95,7 @@ def test_criterion_2_formula_cross_validation_sweep(sweep_data):
         for key in ("self_dual", "self_orthogonal", "lcd"):
             assert row["predicted"][key] == row["constructed"][key], row
         if row["predicted"]["hull_dim"] != "no-closed-form":
-            # hull() itself equates the Gram-rank and intersection routes.
+            # hull() itself equates the Gram-rank and complement routes.
             assert row["predicted"]["hull_dim"] == row["constructed"]["hull_dim"], row
         assert row["agree"] is True, row
     assert sweep_data["seconds"] <= 600

@@ -58,6 +58,20 @@ def test_distribution_matches_exhaustive_oracle():
         assert got.counts.tolist() == expected, C
 
 
+@pytest.mark.parametrize("q", [4, 8, 9])
+def test_generic_walk_covers_extension_fields(q, monkeypatch):
+    # A one-row inner block leaves two symbols to the outer walk, which
+    # must step each through all of F_q, not only its prime subfield.
+    monkeypatch.setattr(analyze, "_GENERIC_CELL_CAP", 1)
+    monkeypatch.setattr(analyze, "_MIN_WORKER_STEPS", 1)
+    C = prm_code(field_make(q), 1, 2)
+    assert analyze._inner_depth(q, C.K, C.N) == 1 < C.K
+    expected = ref_weight_distribution(C.field, C.G.a)
+    for workers in (1, 2):
+        got = weight_distribution(C, workers=workers, method="generic")
+        assert got.counts.tolist() == expected, workers
+
+
 def test_packed_and_generic_paths_agree():
     codes = [
         tetracode(),

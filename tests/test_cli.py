@@ -9,18 +9,17 @@ import json
 import numpy as np
 import pytest
 
-from prmhull import analyze, cli
+from prmhull import analyze, cli, exactla, sweep
 from prmhull.cli import (
     EXIT_BUDGET,
     EXIT_DISAGREE,
     EXIT_INTERNAL,
     EXIT_OK,
     EXIT_USAGE,
-    SweepSpec,
     main,
-    run_sweep,
 )
 from prmhull.exactla import MatrixFq
+from prmhull.sweep import SweepSpec, run_sweep
 from prmhull.field import field_make
 from prmhull.prm import prm_code
 
@@ -236,12 +235,11 @@ def test_wenum_worker_count_does_not_change_payload(capsys, monkeypatch):
     assert out1 == out3
 
 
-def test_wenum_seed_flag_accepted_and_inert(capsys):
-    _, out1, _ = run(["wenum", "--n", "1", "--k", "1", "--q", "3"], capsys)
-    _, out2, _ = run(
-        ["wenum", "--n", "1", "--k", "1", "--q", "3", "--seed", "42"], capsys
-    )
-    assert out1 == out2
+def test_removed_flags_are_usage_errors(capsys):
+    code, _, _ = run(["wenum", "--n", "1", "--k", "1", "--q", "3", "--seed", "42"], capsys)
+    assert code == EXIT_USAGE
+    code, _, _ = run(["sweep", "--n", "1", "--q", "3", "--workers", "2"], capsys)
+    assert code == EXIT_USAGE
 
 
 def test_wenum_budget_exceeded_exits_3(capsys):
@@ -258,6 +256,14 @@ def test_wenum_read_matrix(tmp_path, capsys):
     code, out, _ = run(["wenum", "--read-matrix", str(path)], capsys)
     assert code == EXIT_OK
     assert "x^4 + 8xy^3" in out
+
+
+def test_wenum_read_matrix_entry_out_of_range(tmp_path, capsys):
+    path = tmp_path / "bad.txt"
+    path.write_text("3 1 2\n1 3\n")
+    code, _, err = run(["wenum", "--read-matrix", str(path)], capsys)
+    assert code == EXIT_USAGE
+    assert "bad matrix file" in err
 
 
 def test_wenum_read_matrix_missing_file(capsys):
@@ -438,7 +444,7 @@ def test_sweep_unsatisfiable_grid_usage_error(capsys):
 
 
 def test_sweep_disagreement_exits_2(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "dim_mr", lambda n, k, q: -1)
+    monkeypatch.setattr(sweep, "dim_mr", lambda n, k, q: -1)
     code, out, _ = run(["sweep", "--n", "1", "--q", "2"], capsys)
     assert code == EXIT_DISAGREE
     assert "disagree=1" in out
@@ -451,6 +457,35 @@ def test_run_sweep_spec_validation():
         run_sweep(SweepSpec((1,), (3,), ()))
     with pytest.raises(cli.UsageError):
         run_sweep(SweepSpec((0,), (3,), "all"))
+
+
+def test_sweep_row_reduces_each_code_once(monkeypatch):
+    # Per point: the code (shared with the point of degree n(q-1) - k),
+    # its dual, the all-ones extension of the dual-side code, the N x N
+    # stack [G; H] and its complement, and the two Gram matrices. No
+    # matrix is wider than the code is long.
+    real_rref = exactla._rref_array
+    calls = []
+
+    def counting_rref(field, A):
+        calls.append(A.shape[1])
+        return real_rref(field, A)
+
+    real_row = sweep._sweep_row
+    per_point = []
+
+    def counting_row(*args):
+        start = len(calls)
+        row = real_row(*args)
+        per_point.append((row["N"], calls[start:]))
+        return row
+
+    monkeypatch.setattr(exactla, "_rref_array", counting_rref)
+    monkeypatch.setattr(sweep, "_sweep_row", counting_row)
+    _, summary = run_sweep(SweepSpec((1, 2), (2, 3, 4, 5), "all"))
+    assert summary["points"] == len(per_point) > 0
+    assert max(len(widths) for _, widths in per_point) <= 7
+    assert all(w <= N for N, widths in per_point for w in widths)
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,10 @@ from prmhull.exactla import (
     rref,
     transpose,
 )
+from prmhull.code import code_from_rows, hull
 from prmhull.field import field_make
 
-from oracles import ref_matmul, ref_rowspace, ref_rref
+from oracles import ref_matmul, ref_orthogonal, ref_rowspace, ref_rref
 
 KERNEL_QS = [2, 3, 4, 5, 7, 8, 9, 16, 25, 27]
 
@@ -148,6 +149,18 @@ class TestIntersect:
             got = intersect_rowspaces(A, B)
             expected_set = ref_rowspace(f, A.a) & ref_rowspace(f, B.a)
             assert ref_rowspace(f, got.matrix.a) == expected_set
+            comp = SubspaceBasis.from_matrix(A).complement()
+            assert ref_rowspace(f, comp.matrix.a) == ref_orthogonal(f, A.a)
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5])
+    def test_hull_brute_force_small_fields(self, q):
+        f = field_make(q)
+        rng = np.random.default_rng(q * 17)
+        for _ in range(6):
+            G = rng.integers(0, q, size=(2, 4)).astype(np.int32)
+            C = code_from_rows(f, G)
+            expected_set = ref_rowspace(f, G) & ref_orthogonal(f, G)
+            assert ref_rowspace(f, hull(C).hull_basis.matrix.a) == expected_set
 
     @pytest.mark.parametrize("q", KERNEL_QS)
     def test_dimension_formula(self, q):
@@ -164,6 +177,8 @@ class TestIntersect:
     def test_intersection_is_canonical(self):
         got = intersect_rowspaces(random_matrix(9, 4, 8, 3), random_matrix(9, 5, 8, 4))
         assert SubspaceBasis.from_matrix(got.matrix) == got
+        comp = SubspaceBasis.from_matrix(random_matrix(9, 4, 8, 5)).complement()
+        assert SubspaceBasis.from_matrix(comp.matrix) == comp
 
     def test_dimension_mismatch(self):
         f = field_make(3)
