@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .code import LinearCode
-from .errors import BudgetExceeded, OutOfRange
+from .errors import BudgetExceeded, InternalInconsistency, OutOfRange
 from .field import field_make
 
 DEFAULT_BUDGET = 1 << 33
@@ -283,16 +283,12 @@ def _scan_generic(field, G, offset, target_w, stop_at):
 # dispatch, partitioning, workers
 
 
-def _scan(field, G, offset, target_w, stop_at, method):
-    if method == "auto":
-        method = "packed" if field.q == 3 else "generic"
-    if method == "packed":
-        if field.q != 3:
-            raise OutOfRange("packed engine only applies to q = 3")
-        counts, raw, aborted = _scan_packed3(field, G, offset, target_w, stop_at)
-        sup = {_unpack_support_words(k) for k in raw} if raw is not None else None
-        return counts, sup, aborted
-    counts, sup, aborted = _scan_generic(field, G, offset, target_w, stop_at)
+def _scan(field, G, offset, target_w, stop_at):
+    """Run the packed engine over F_3 and the generic engine otherwise."""
+    if field.q != 3:
+        return _scan_generic(field, G, offset, target_w, stop_at)
+    counts, raw, aborted = _scan_packed3(field, G, offset, target_w, stop_at)
+    sup = {_unpack_support_words(k) for k in raw} if raw is not None else None
     return counts, sup, aborted
 
 
@@ -311,26 +307,26 @@ def _partition_depth(q: int, K: int, workers: int) -> int:
 
 
 def _scan_task(args):
-    q, G, digits, target_w, method = args
+    q, G, digits, target_w = args
     field = field_make(q)
     d = len(digits)
     offset = np.zeros(G.shape[1], dtype=np.int32)
     for digit, row in zip(digits, G[:d]):
         offset = field.vadd(offset, field.vscale(digit, row))
-    counts, sup, _ = _scan(field, G[d:], offset, target_w, None, method)
+    counts, sup, _ = _scan(field, G[d:], offset, target_w, None)
     return counts, sup
 
 
-def _scan_parallel(C: LinearCode, target_w, workers: int, method: str):
+def _scan_parallel(C: LinearCode, target_w, workers: int):
     field = C.field
     G = C.G.a
     d = _partition_depth(field.q, C.K, workers) if workers > 1 else 0
     if d == 0:
         zero = np.zeros(C.N, dtype=np.int32)
-        counts, sup, _ = _scan(field, G, zero, target_w, None, method)
+        counts, sup, _ = _scan(field, G, zero, target_w, None)
         return counts, sup
     tasks = [
-        (field.q, G, digits, target_w, method)
+        (field.q, G, digits, target_w)
         for digits in itertools.product(range(field.q), repeat=d)
     ]
     from multiprocessing import get_context
@@ -354,7 +350,6 @@ def weight_distribution(
     C: LinearCode,
     budget: int = DEFAULT_BUDGET,
     workers: int = 1,
-    method: str = "auto",
 ) -> WeightDistribution:
     """Exact A_0..A_N over all q^K codewords.
 
@@ -364,15 +359,14 @@ def weight_distribution(
         workers: partition the message space across this many processes by
             fixing leading message symbols; results are identical for any
             worker count.
-        method: "auto" picks the packed F_3 engine when it applies;
-            "packed"/"generic" force a path.
 
     Raises:
         BudgetExceeded: if q^K > budget.
     """
     total = _check_budget(C, budget)
-    counts, _ = _scan_parallel(C, None, workers, method)
-    assert int(counts.sum()) == total
+    counts, _ = _scan_parallel(C, None, workers)
+    if int(counts.sum()) != total:
+        raise InternalInconsistency(f"enumerated {int(counts.sum())} of {total} messages")
     return WeightDistribution(counts)
 
 
@@ -380,7 +374,6 @@ def min_distance(
     C: LinearCode,
     budget: int = DEFAULT_BUDGET,
     stop_at: int | None = None,
-    method: str = "auto",
 ) -> int:
     """Minimum nonzero weight by exhaustive scan.
 
@@ -397,7 +390,7 @@ def min_distance(
     if C.K == 0:
         raise OutOfRange("zero-dimensional code has no nonzero codeword")
     zero = np.zeros(C.N, dtype=np.int32)
-    counts, _, _ = _scan(C.field, C.G.a, zero, None, stop_at, method)
+    counts, _, _ = _scan(C.field, C.G.a, zero, None, stop_at)
     nz = np.flatnonzero(counts[1:])
     return int(nz[0]) + 1
 
@@ -407,7 +400,6 @@ def min_weight_supports(
     w: int,
     budget: int = DEFAULT_BUDGET,
     workers: int = 1,
-    method: str = "auto",
 ) -> BlockFamily:
     """Deduplicated supports of all weight-w codewords.
 
@@ -417,7 +409,7 @@ def min_weight_supports(
     Raises:
         BudgetExceeded: if q^K > budget.
     """
-    _, fam = weight_distribution_with_supports(C, w, budget, workers, method)
+    _, fam = weight_distribution_with_supports(C, w, budget, workers)
     return fam
 
 
@@ -426,7 +418,6 @@ def weight_distribution_with_supports(
     w: int,
     budget: int = DEFAULT_BUDGET,
     workers: int = 1,
-    method: str = "auto",
 ):
     """Distribution and weight-w supports from a single pass.
 
@@ -442,8 +433,9 @@ def weight_distribution_with_supports(
     total = _check_budget(C, budget)
     if not 0 < w <= C.N:
         raise OutOfRange(f"weight must be in 1..{C.N}; got {w}")
-    counts, sup = _scan_parallel(C, w, workers, method)
-    assert int(counts.sum()) == total
+    counts, sup = _scan_parallel(C, w, workers)
+    if int(counts.sum()) != total:
+        raise InternalInconsistency(f"enumerated {int(counts.sum())} of {total} messages")
     return WeightDistribution(counts), BlockFamily(C.N, tuple(sorted(sup)))
 
 

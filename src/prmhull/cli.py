@@ -38,7 +38,14 @@ from .analyze import (
     weight_distribution_with_supports,
 )
 from .code import code_from_rows, contains_vector, dual, equal_codes, hull
-from .errors import BudgetExceeded, NotPrimePower, OutOfRange, PrmHullError, UsageError
+from .errors import (
+    BudgetExceeded,
+    InternalInconsistency,
+    NotPrimePower,
+    OutOfRange,
+    PrmHullError,
+    UsageError,
+)
 from .exactla import MatrixFq
 from .field import field_make
 from .geometry import evaluate, projective_points
@@ -534,6 +541,12 @@ def cmd_sweep(args) -> int:
 # selftest
 
 
+def _check(ok: bool, what) -> None:
+    """Fail a selftest step; unlike assert, this also runs under python -O."""
+    if not ok:
+        raise InternalInconsistency(str(what))
+
+
 def _selftest_steps(full: bool, budget: int, workers: int):
     shared: dict = {}
     steps: list[tuple[str, object]] = []
@@ -556,9 +569,9 @@ def _selftest_steps(full: bool, budget: int, workers: int):
     @step("parameter-formulas")
     def _check_formulas():
         for (n, k, q), (N, K, D) in known.items():
-            assert PrmParams(n, k, q).N == N, (n, k, q)
-            assert dim_sorensen(n, k, q) == K == dim_mr(n, k, q), (n, k, q)
-            assert min_dist_formula(n, k, q) == D, (n, k, q)
+            _check(PrmParams(n, k, q).N == N, (n, k, q))
+            _check(dim_sorensen(n, k, q) == K == dim_mr(n, k, q), (n, k, q))
+            _check(min_dist_formula(n, k, q) == D, (n, k, q))
 
     @step("small-code-distances")
     def _check_distances():
@@ -566,41 +579,40 @@ def _selftest_steps(full: bool, budget: int, workers: int):
             if (n, k, q) == (3, 3, 3):
                 continue  # 3^20 codewords; covered by --full
             C = prm_code(field_make(q), n, k)
-            assert (C.N, C.K) == (N, K), (n, k, q)
-            assert min_distance(C) == D, (n, k, q)
+            _check((C.N, C.K) == (N, K), (n, k, q))
+            _check(min_distance(C) == D, (n, k, q))
 
     @step("tetracode-enumerator")
     def _check_tetracode():
         dist = weight_distribution(prm_code(field_make(3), 1, 1))
-        assert dist.to_pairs() == [[0, 1], [3, 8]]
-        assert dist.to_polynomial_string() == "x^4 + 8xy^3"
+        _check(dist.to_pairs() == [[0, 1], [3, 8]], dist.to_pairs())
+        _check(dist.to_polynomial_string() == "x^4 + 8xy^3", dist.to_polynomial_string())
 
     @step("tetracode-design")
     def _check_tetracode_design():
         C = prm_code(field_make(3), 1, 1)
         _, fam = weight_distribution_with_supports(C, 3)
-        assert len(fam.blocks) == 4
-        assert design_lambda(fam, 1) == 3
-        assert design_lambda(fam, 2) == 2
+        _check(len(fam.blocks) == 4, len(fam.blocks))
+        _check(design_lambda(fam, 1) == 3, "lambda_1")
+        _check(design_lambda(fam, 2) == 2, "lambda_2")
 
     @step("embedded-reference-consistency")
     def _check_reference():
         ref = REFERENCE_WEIGHT_DISTRIBUTIONS[(3, 3, 3)]
-        assert sum(ref.values()) == 3**20, "coefficients must sum to 3^20"
-        assert len(ref) == 12 and ref[0] == 1
-        assert min(w for w in ref if w > 0) == 9 and max(ref) == 39
+        _check(sum(ref.values()) == 3**20, "coefficients must sum to 3^20")
+        _check(len(ref) == 12 and ref[0] == 1, "twelve weights, A_0 = 1")
+        _check(min(w for w in ref if w > 0) == 9 and max(ref) == 39, "weights 9..39")
         des = REFERENCE_DESIGNS[(3, 3, 3)]
-        assert des["words"] == ref[9] == 2 * des["blocks"]
+        _check(des["words"] == ref[9] == 2 * des["blocks"], "two words per block")
         # Double count (pair, block) incidences two ways.
-        assert des["lambda"] * math.comb(40, des["t"]) == des["blocks"] * math.comb(
-            des["w"], des["t"]
-        )
+        pairs = des["lambda"] * math.comb(40, des["t"])
+        _check(pairs == des["blocks"] * math.comb(des["w"], des["t"]), "incidences")
 
     @step("sweep-small-grid")
     def _check_small_sweep():
         rows, summary = run_sweep(SweepSpec((1, 2), (2, 3, 4, 5), "all"))
-        assert summary["disagree"] == 0, summary
-        assert summary["no_closed_form"] == 0, summary
+        _check(summary["disagree"] == 0, summary)
+        _check(summary["no_closed_form"] == 0, summary)
         shared["rows"] = {(r["n"], r["k"], r["q"]): r for r in rows}
 
     @step("two-variable-hull-formula")
@@ -608,7 +620,7 @@ def _selftest_steps(full: bool, budget: int, workers: int):
         for q in (3, 4, 5):
             for k in range(1, 2 * (q - 1) + 1):
                 row = shared["rows"][(2, k, q)]
-                assert rsj_hull_dim(k, q) == row["constructed"]["hull_dim"], (k, q)
+                _check(rsj_hull_dim(k, q) == row["constructed"]["hull_dim"], (k, q))
 
     if full:
 
@@ -619,10 +631,10 @@ def _selftest_steps(full: bool, budget: int, workers: int):
                 C, 9, budget=budget, workers=workers
             )
             got = {w: c for w, c in dist.to_pairs()}
-            assert got == REFERENCE_WEIGHT_DISTRIBUTIONS[(3, 3, 3)], "distribution"
+            _check(got == REFERENCE_WEIGHT_DISTRIBUTIONS[(3, 3, 3)], "distribution")
             des = REFERENCE_DESIGNS[(3, 3, 3)]
-            assert len(fam.blocks) == des["blocks"], len(fam.blocks)
-            assert design_lambda(fam, des["t"]) == des["lambda"]
+            _check(len(fam.blocks) == des["blocks"], len(fam.blocks))
+            _check(design_lambda(fam, des["t"]) == des["lambda"], "lambda")
 
     return steps
 

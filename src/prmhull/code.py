@@ -81,8 +81,8 @@ class HullReport:
     """Hull of a code computed two independent ways.
 
     hull_dim comes from the orthogonal complement of C + C^⊥; gram_rank
-    from row-reducing G G^T. The relation hull_dim = K - gram_rank is
-    asserted at construction.
+    from row-reducing G G^T. :func:`hull` raises InternalInconsistency
+    unless hull_dim = K - gram_rank.
     """
 
     def __init__(self, hull_basis: SubspaceBasis, hull_dim: int, gram_rank: int):
@@ -102,15 +102,20 @@ def dual(C: LinearCode) -> LinearCode:
 
     The result is cached on the code, so repeated calls (e.g. by hull
     computation and an explicit duality check) share one kernel solve.
+
+    Raises:
+        InternalInconsistency: if the complement is not orthogonal to C
+        or its dimension is not N - K (a linear-algebra bug).
     """
     if C._dual is not None:
         return C._dual
     D = LinearCode.from_basis(
         C.canonical().complement(), label=f"dual({C.label})" if C.label else "dual"
     )
-    prod = mat_mul(C.G, transpose(D.G))
-    assert not prod.a.any(), "dual rows must be orthogonal to generator rows"
-    assert D.K == C.N - C.K
+    if mat_mul(C.G, transpose(D.G)).a.any():
+        raise InternalInconsistency("dual rows are not orthogonal to the generator rows")
+    if D.K != C.N - C.K:
+        raise InternalInconsistency(f"dual dimension {D.K} != N - K = {C.N} - {C.K}")
     C._dual = D
     return D
 
@@ -154,7 +159,7 @@ def contains_vector(C: LinearCode, v) -> bool:
     canonical basis, and membership means the residual vanishes (adding
     v does not raise the rank).
     """
-    v = np.asarray(v, dtype=np.int32).reshape(1, -1)
+    v = MatrixFq(C.field, np.asarray(v, dtype=np.int32).reshape(1, -1)).a
     if v.shape[1] != C.N:
         raise DimensionMismatch(f"vector length {v.shape[1]}, code length {C.N}")
     return C.canonical().contains_rows(v)

@@ -294,7 +294,10 @@ class Field:
         if p == 2:
             return a ^ b
         if e == 1:
-            return (a - b) % p
+            # entries lie in 0..p-1, so one conditional add of p reduces
+            d = a - b
+            d += (d < 0) * np.int32(p)
+            return d
         out = np.zeros(np.broadcast(a, b).shape, dtype=np.int32)
         for w in self._powers_of_p:
             out += ((a // w - b // w) % p) * w

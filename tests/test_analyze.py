@@ -21,13 +21,20 @@ from prmhull.analyze import (
     weight_distribution,
 )
 from prmhull.code import LinearCode, code_from_rows, dual
-from prmhull.errors import BudgetExceeded, OutOfRange
+from prmhull.errors import BudgetExceeded, InternalInconsistency, OutOfRange
 from prmhull.exactla import MatrixFq
 from prmhull.prm import min_dist_formula, prm_code
 
 
 def make_code(q, rows):
     return LinearCode(MatrixFq(field_make(q), np.array(rows, dtype=np.int32)))
+
+
+def generic_scan(C, target_w=None):
+    """(counts, supports) from the generic engine, the reference for the packed one."""
+    zero = np.zeros(C.N, dtype=np.int32)
+    counts, sup, _ = analyze._scan_generic(C.field, C.G.a, zero, target_w, None)
+    return counts, sup
 
 
 def tetracode():
@@ -68,7 +75,7 @@ def test_generic_walk_covers_extension_fields(q, monkeypatch):
     assert analyze._inner_depth(q, C.K, C.N) == 1 < C.K
     expected = ref_weight_distribution(C.field, C.G.a)
     for workers in (1, 2):
-        got = weight_distribution(C, workers=workers, method="generic")
+        got = weight_distribution(C, workers=workers)
         assert got.counts.tolist() == expected, workers
 
 
@@ -86,14 +93,20 @@ def test_packed_and_generic_paths_agree():
         rows = rng.integers(0, 3, size=(5, 70))  # multi-word packing
         codes.append(code_from_rows(field_make(3), rows))
     for C in codes:
-        packed = weight_distribution(C, method="packed")
-        generic = weight_distribution(C, method="generic")
-        assert packed == generic
+        packed = weight_distribution(C)
+        generic = generic_scan(C)[0]
+        assert packed.counts.tolist() == generic.tolist()
 
 
-def test_packed_engine_rejects_other_fields():
-    with pytest.raises(OutOfRange):
-        weight_distribution(make_code(5, [[1, 2]]), method="packed")
+def test_lost_messages_raise(monkeypatch):
+    # A scan whose counts do not sum to q^K is a bug; the check must raise
+    # rather than assert, so it also runs under python -O.
+    lost = np.array([1, 0, 0, 7, 0], dtype=np.int64)  # tetracode has 9 words
+    monkeypatch.setattr(analyze, "_scan_parallel", lambda C, w, workers: (lost, set()))
+    with pytest.raises(InternalInconsistency):
+        weight_distribution(tetracode())
+    with pytest.raises(InternalInconsistency):
+        min_weight_supports(tetracode(), 3)
 
 
 def test_distribution_invariants():
@@ -211,7 +224,7 @@ def test_supports_paths_and_workers_agree(monkeypatch):
     C = prm_code(field_make(3), 2, 2)
     w = min_distance(C)
     base = min_weight_supports(C, w)
-    assert min_weight_supports(C, w, method="generic") == base
+    assert tuple(sorted(generic_scan(C, w)[1])) == base.blocks
     assert min_weight_supports(C, w, workers=3) == base
     assert len(base.blocks) >= 1
 
@@ -221,9 +234,8 @@ def test_supports_multiword_packing():
     rng = np.random.default_rng(11)
     C = code_from_rows(field_make(3), rng.integers(0, 3, size=(4, 70)))
     w = min_distance(C)
-    packed = min_weight_supports(C, w, method="packed")
-    generic = min_weight_supports(C, w, method="generic")
-    assert packed == generic
+    packed = min_weight_supports(C, w)
+    assert packed.blocks == tuple(sorted(generic_scan(C, w)[1]))
     assert all(len(b) == w for b in packed.blocks)
 
 

@@ -5,6 +5,10 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -320,6 +324,24 @@ def test_selftest_catches_corrupted_reference(capsys, monkeypatch):
     assert code == EXIT_INTERNAL
     assert "FAIL embedded-reference-consistency" in out
     assert "selftest: FAIL" in out
+
+
+def test_selftest_catches_corrupted_reference_under_optimize():
+    # python -O strips assert statements, so selftest checks must not rely on them.
+    script = (
+        "import sys\n"
+        "from prmhull import cli\n"
+        "cli.REFERENCE_WEIGHT_DISTRIBUTIONS[(3, 3, 3)][9] = 1041\n"
+        "sys.exit(cli.main(['selftest']))\n"
+    )
+    paths = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == EXIT_INTERNAL, proc.stdout + proc.stderr
+    assert "FAIL embedded-reference-consistency" in proc.stdout
+    assert "selftest: FAIL" in proc.stdout
 
 
 def test_embedded_reference_agrees_with_formula_distance():

@@ -17,8 +17,8 @@ from prmhull.code import (
     is_self_dual,
     is_self_orthogonal,
 )
-from prmhull.errors import DimensionMismatch, FieldMismatch
-from prmhull.exactla import MatrixFq, mat_mul, transpose
+from prmhull.errors import DimensionMismatch, FieldMismatch, InternalInconsistency
+from prmhull.exactla import MatrixFq, SubspaceBasis, mat_mul, transpose
 from prmhull.geometry import evaluate_rows, projective_points
 
 
@@ -95,6 +95,20 @@ def test_dual_of_full_space_is_zero_code():
 def test_tetracode_is_its_own_dual():
     C = tetracode()
     assert equal_codes(dual(C), C)
+
+
+def test_dual_rejects_wrong_complement(monkeypatch):
+    # dual() checks the complement it is handed; both invariants must raise
+    # (not assert), so the checks also run under python -O.
+    C = make_code(field_make(5), [[1, 2, 3, 4]])
+    not_orthogonal = SubspaceBasis.from_matrix(MatrixFq(C.field, [[1, 0, 0, 0]]))
+    monkeypatch.setattr(SubspaceBasis, "complement", lambda self: not_orthogonal)
+    with pytest.raises(InternalInconsistency, match="orthogonal"):
+        dual(C)
+    too_small = SubspaceBasis.from_matrix(MatrixFq(C.field, [[3, 1, 0, 0]]))
+    monkeypatch.setattr(SubspaceBasis, "complement", lambda self: too_small)
+    with pytest.raises(InternalInconsistency, match="dimension"):
+        dual(C)
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +242,12 @@ def test_contains_vector_on_rows_and_combinations():
 def test_contains_vector_length_check():
     with pytest.raises(DimensionMismatch):
         contains_vector(tetracode(), [1, 0, 0])
+
+
+def test_contains_vector_rejects_entries_outside_the_field():
+    # 4 is not an element index of GF(3); it must not be read as 4 mod 3 = 1.
+    with pytest.raises(ValueError):
+        contains_vector(tetracode(), [4, 1, 1, 0])
 
 
 def test_equal_codes_ignores_basis_choice():

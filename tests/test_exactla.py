@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from prmhull.errors import DimensionMismatch, FieldMismatch
+from prmhull import exactla
 from prmhull.exactla import (
     MatrixFq,
     SubspaceBasis,
@@ -22,7 +23,9 @@ from prmhull.field import field_make
 
 from oracles import ref_matmul, ref_orthogonal, ref_rowspace, ref_rref
 
-KERNEL_QS = [2, 3, 4, 5, 7, 8, 9, 16, 25, 27]
+# 257 and 1024 lie above field.TABLE_LIMIT, where products go through
+# exp/log tables instead of a dense multiplication table.
+KERNEL_QS = [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 257, 1024]
 
 # generator of the [4,2,3] self-dual ternary code: evaluations of x0, x1
 # at the standard projective representatives (1,0),(1,1),(1,2),(0,1)
@@ -68,6 +71,22 @@ class TestRref:
                 assert np.array_equal(R.a, R_ref), (q, shape, seed, deficient)
                 assert pivots == pivots_ref
                 assert r == len(pivots_ref)
+
+    @pytest.mark.parametrize("q", [9, 25, 49])
+    def test_digit_plane_kernel_matches_multiples_kernel(self, q):
+        # The multiples kernel works over any field, so it is the reference
+        # at a size where ref_rref is too slow. A 60x40 by 40x120 product
+        # has rank at most 40, so most columns carry no pivot.
+        f = field_make(q)
+        rng = np.random.default_rng(q)
+        for _ in range(3):
+            A = rng.integers(0, q, size=(60, 40)).astype(np.int32)
+            B = rng.integers(0, q, size=(40, 120)).astype(np.int32)
+            M = exactla._mat_mul_arrays(f, A, B)
+            R, pivots = exactla._rref_digit2(f, M.copy())
+            R_ref, pivots_ref = exactla._rref_multiples(f, M.copy())
+            assert np.array_equal(R, R_ref) and pivots == pivots_ref
+            assert len(pivots) <= 40
 
     @pytest.mark.parametrize("q", KERNEL_QS)
     def test_rank_equals_rank_of_transpose(self, q):
@@ -227,6 +246,15 @@ class TestMatMul:
         f = field_make(3)
         with pytest.raises(DimensionMismatch):
             mat_mul(MatrixFq(f, [[1, 2]]), MatrixFq(f, [[1, 2]]))
+
+    def test_inner_dimension_beyond_exact_float64_raises(self):
+        # inner * (p-1)^2 must stay below 2^52 for the float64 product to be exact
+        f = field_make(65521)
+        inner = (1 << 52) // (65520 * 65520) + 1
+        A = MatrixFq(f, np.zeros((1, inner), dtype=np.int32))
+        B = MatrixFq(f, np.zeros((inner, 1), dtype=np.int32))
+        with pytest.raises(DimensionMismatch):
+            mat_mul(A, B)
 
     def test_field_mismatch(self):
         with pytest.raises(FieldMismatch):

@@ -130,7 +130,7 @@ class TestScalarArithmetic:
 
 
 class TestVectorized:
-    @pytest.mark.parametrize("q", SWEEP_Q + [16, 25, 27, 257, 512])
+    @pytest.mark.parametrize("q", SWEEP_Q + [16, 25, 27, 257, 512, 65521])
     def test_vector_ops_match_scalar(self, q):
         f = field_make(q)
         rng = np.random.default_rng(q)
