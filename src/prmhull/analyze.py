@@ -1,14 +1,24 @@
 """Exhaustive code analysis: weight distributions, minimum distance,
 minimum-weight supports, and t-design verification.
 
-The enumeration engine walks the message space in reflected mixed-radix
-order, so each step changes one information symbol by one field step and
-the running codeword is updated by adding (or subtracting) a single
-generator row. For throughput, the last few message symbols are expanded
-into a precomputed block of codewords so every walk step scores a whole
-block of messages with vectorized operations. Codes over F_3 use a packed
-representation: two bitplanes per codeword and population counts for the
-Hamming weight.
+Scalar multiples of a codeword share its weight and support, so a scan
+visits one word per scalar class: the (q^K - 1)/(q - 1) messages whose
+first nonzero symbol is 1. Stratum i holds those whose first nonzero
+symbol sits at position i; it is G[i] plus every combination of the rows
+after it. The distribution is rebuilt as A_0 = 1 and A_w = (q - 1) times
+the count of weight w, and supports are collected once per class. Large
+strata are split into pieces of equal size for the worker processes.
+
+Within a stratum, the walk runs over the free message symbols in
+reflected mixed-radix order, so each step changes one symbol by one
+field step. The last few rows are expanded once per scan into an inner
+block of codewords, and each step scores the whole block against the
+running offset cur. The support of block + cur is the set of coordinates
+where the block differs from -cur, so the walk carries -cur and scores a
+step by one comparison and a count, with no field addition over the
+block; the per-step buffers are allocated once per walk. Codes over F_3
+use a packed representation: two bitplanes per word, where negation
+swaps the planes, and population counts for the Hamming weight.
 """
 
 from __future__ import annotations
@@ -22,7 +32,6 @@ import numpy as np
 
 from .code import LinearCode
 from .errors import BudgetExceeded, InternalInconsistency, OutOfRange
-from .field import field_make
 
 DEFAULT_BUDGET = 1 << 33
 
@@ -31,8 +40,8 @@ DEFAULT_BUDGET = 1 << 33
 _PACK_BLOCK_CAP = 1 << 17
 _GENERIC_CELL_CAP = 1 << 22
 
-# Workers are only engaged when every sub-enumeration keeps at least this
-# many messages; below that, partitioning overhead dominates.
+# Workers are only engaged when each has at least this many scalar classes
+# to score; below that, starting processes costs more than it saves.
 _MIN_WORKER_STEPS = 10**6
 
 
@@ -53,7 +62,8 @@ class WeightDistribution:
 
     def __init__(self, counts):
         self.counts = np.asarray(counts, dtype=np.int64)
-        assert self.counts.ndim == 1 and self.counts[0] == 1
+        if self.counts.ndim != 1 or len(self.counts) == 0 or self.counts[0] != 1:
+            raise InternalInconsistency(f"not a weight distribution: {self.counts.tolist()}")
 
     @property
     def N(self) -> int:
@@ -104,8 +114,10 @@ class BlockFamily:
     def __post_init__(self):
         seen = set()
         for b in self.blocks:
-            assert b == tuple(sorted(b)) and b not in seen
-            assert all(0 <= x < self.ground_size for x in b)
+            if b != tuple(sorted(b)) or b in seen:
+                raise ValueError(f"block {b} is unsorted or repeated")
+            if not all(0 <= x < self.ground_size for x in b):
+                raise ValueError(f"block {b} leaves 0..{self.ground_size - 1}")
             seen.add(b)
 
     def to_json(self) -> dict:
@@ -151,6 +163,10 @@ def _inner_depth(q: int, K: int, N: int) -> int:
 
 # ---------------------------------------------------------------------------
 # packed engine for F_3
+#
+# A block is a (2, W, n) uint64 array: the low and high bitplanes of n
+# words, 64 coordinates per plane word. Bit j of the low (high) plane is
+# set where the coordinate is 1 (2).
 
 
 def _pack3(v: np.ndarray, W: int) -> tuple[np.ndarray, np.ndarray]:
@@ -173,52 +189,58 @@ def _add3(al, ah, bl, bh):
     return cl, ch
 
 
-def _scan_packed3(field, G, offset, target_w, stop_at):
-    K, N = G.shape
-    W = (N + 63) // 64
-    d_in = _inner_depth(3, K, N)
-    in_rows, out_rows = G[K - d_in :], G[: K - d_in]
+def _block3(field, rows):
+    """All 3^d combinations of the d rows, those of the last j rows first."""
+    W = (rows.shape[1] + 63) // 64
+    block = np.zeros((2, W, 1), dtype=np.uint64)
+    for r in rows[::-1]:
+        lo, hi = (x[:, None] for x in _pack3(r, W))
+        plus = _add3(block[0], block[1], lo, hi)
+        minus = _add3(block[0], block[1], hi, lo)  # -r: the planes swapped
+        block = np.concatenate([block, np.stack(plus), np.stack(minus)], axis=2)
+    return block
 
-    # Inner block: all 3^d_in combinations of the trailing rows, built by
-    # repeatedly adjoining 0/1/2 times the next row.
-    lo = np.zeros((1, W), dtype=np.uint64)
-    hi = np.zeros((1, W), dtype=np.uint64)
-    for r in in_rows:
-        r1 = _pack3(r, W)
-        r2 = _pack3(field.vneg(r), W)
-        a1 = _add3(lo, hi, *r1)
-        a2 = _add3(lo, hi, *r2)
-        lo = np.concatenate([lo, a1[0], a2[0]])
-        hi = np.concatenate([hi, a1[1], a2[1]])
 
-    plus = [_pack3(r, W) for r in out_rows]
-    minus = [_pack3(field.vneg(r), W) for r in out_rows]
-    cur = _pack3(offset, W)
+def _walk3(field, block, outer, offset, target_w, stop_at):
+    lo, hi = block
+    W, n = lo.shape
+    N = len(offset)
+    steps = [tuple(x[:, None] for x in _pack3(r, W)) for r in outer]
+    nlo, nhi = (x[:, None] for x in _pack3(field.vneg(offset), W))
 
+    diff = np.empty((W, n), dtype=np.uint64)
+    tmp = np.empty((W, n), dtype=np.uint64)
+    pop = np.empty((W, n), dtype=np.uint8)
+    weights = np.empty(n, dtype=np.min_scalar_type(64 * W))
     counts = np.zeros(N + 1, dtype=np.int64)
-    supports = set() if target_w is not None else None
+    raw = set() if target_w is not None else None
 
-    def process():
-        tl, th = _add3(lo, hi, *cur)
-        orb = tl | th
-        weights = np.bitwise_count(orb).sum(axis=1, dtype=np.int64)
-        counts[:] += np.bincount(weights, minlength=N + 1)
-        if supports is not None:
-            mask = weights == target_w
-            if mask.any():
-                for row in orb[mask]:
-                    supports.add(tuple(int(x) for x in row))
+    def score():
+        # Where a word of the block differs from -cur, its sum with cur
+        # is nonzero: a trit pair differs exactly where either plane does.
+        np.bitwise_xor(lo, nlo, out=diff)
+        np.bitwise_xor(hi, nhi, out=tmp)
+        np.bitwise_or(diff, tmp, out=diff)
+        np.bitwise_count(diff, out=pop)
+        np.add.reduce(pop, axis=0, dtype=weights.dtype, out=weights)
+        hist = np.bincount(weights, minlength=N + 1)
+        counts[:] += hist
+        if raw is not None and hist[target_w]:
+            for col in diff[:, weights == target_w].T:
+                raw.add(tuple(col.tolist()))
+        return stop_at is not None and hist[1:stop_at].any()
 
-    process()
-    if stop_at is not None and counts[1:stop_at].any():
-        return counts, supports, True
-    for pos, delta in _gray_steps(3, len(out_rows)):
-        step = plus[pos] if delta > 0 else minus[pos]
-        cur = _add3(*cur, *step)
-        process()
-        if stop_at is not None and counts[1:stop_at].any():
-            return counts, supports, True
-    return counts, supports, False
+    aborted = score()
+    if not aborted:
+        for pos, delta in _gray_steps(3, len(steps)):
+            sl, sh = steps[pos]
+            # -(cur ± step) = -cur ∓ step, and -step has the planes of step swapped
+            nlo, nhi = _add3(nlo, nhi, sh, sl) if delta > 0 else _add3(nlo, nhi, sl, sh)
+            if score():
+                aborted = True
+                break
+    sup = {_unpack_support_words(k) for k in raw} if raw is not None else None
+    return counts, sup, aborted
 
 
 def _unpack_support_words(words: tuple[int, ...]) -> tuple[int, ...]:
@@ -235,61 +257,136 @@ def _unpack_support_words(words: tuple[int, ...]) -> tuple[int, ...]:
 
 # ---------------------------------------------------------------------------
 # generic engine
+#
+# A block is an (N, n) array of n words, one per column, in the smallest
+# unsigned type that holds q - 1.
 
 
-def _scan_generic(field, G, offset, target_w, stop_at):
-    K, N = G.shape
-    d_in = _inner_depth(field.q, K, N)
-    in_rows, out_rows = G[K - d_in :], G[: K - d_in]
+def _block_generic(field, rows):
+    """All q^d combinations of the d rows, those of the last j rows first."""
+    dtype = np.min_scalar_type(field.q - 1)
+    block = np.zeros((rows.shape[1], 1), dtype=dtype)
+    for r in rows[::-1]:
+        parts = [
+            field.vadd(block, field.vscale(s, r)[:, None]).astype(dtype)
+            for s in range(field.q)
+        ]
+        block = np.concatenate(parts, axis=1)
+    return block
 
-    block = np.zeros((1, N), dtype=np.int32)
-    for r in in_rows:
-        parts = [field.vadd(block, field.vscale(s, r)[None, :]) for s in range(field.q)]
-        block = np.concatenate(parts)
 
+def _walk_generic(field, block, outer, offset, target_w, stop_at):
+    N, n = block.shape
     # Each outer symbol steps through the additive group F_p^e: row g
     # becomes the e rows x^b * g (element index p^b is x^b), and the walk
     # runs over e digits of radix p per symbol.
-    plus = [field.vscale(field.p**b, r) for r in out_rows for b in range(field.e)]
-    minus = [field.vneg(r) for r in plus]
-    cur = offset.astype(np.int32)
+    steps = [field.vscale(field.p**b, r) for r in outer for b in range(field.e)]
+    neg = field.vneg(offset)
 
+    differs = np.empty((N, n), dtype=bool)
+    weights = np.empty(n, dtype=np.min_scalar_type(N))
     counts = np.zeros(N + 1, dtype=np.int64)
     supports = set() if target_w is not None else None
 
-    def process():
-        words = field.vadd(block, cur[None, :])
-        weights = np.count_nonzero(words, axis=1)
-        counts[:] += np.bincount(weights, minlength=N + 1)
-        if supports is not None:
-            mask = weights == target_w
-            if mask.any():
-                for row in words[mask]:
-                    supports.add(tuple(np.flatnonzero(row)))
+    def score():
+        # The support of block + cur is where block differs from -cur.
+        np.not_equal(block, neg.astype(block.dtype)[:, None], out=differs)
+        np.add.reduce(differs.view(np.uint8), axis=0, dtype=weights.dtype, out=weights)
+        hist = np.bincount(weights, minlength=N + 1)
+        counts[:] += hist
+        if supports is not None and hist[target_w]:
+            for col in differs[:, weights == target_w].T:
+                supports.add(tuple(np.flatnonzero(col).tolist()))
+        return stop_at is not None and hist[1:stop_at].any()
 
-    process()
-    if stop_at is not None and counts[1:stop_at].any():
+    if score():
         return counts, supports, True
-    for pos, delta in _gray_steps(field.p, len(plus)):
-        step = plus[pos] if delta > 0 else minus[pos]
-        cur = field.vadd(cur, step)
-        process()
-        if stop_at is not None and counts[1:stop_at].any():
+    for pos, delta in _gray_steps(field.p, len(steps)):
+        # -(cur ± step) = -cur ∓ step
+        neg = field.vsub(neg, steps[pos]) if delta > 0 else field.vadd(neg, steps[pos])
+        if score():
             return counts, supports, True
     return counts, supports, False
 
 
+def _scan_generic(field, G, offset, target_w, stop_at):
+    """Walk all q^K words offset + mG with the generic engine.
+
+    Returns (counts, supports, aborted). The class scan reaches the
+    generic engine through `_walk_generic`; this full walk is the
+    reference the tests hold the packed engine and the class scan to.
+    """
+    K, N = G.shape
+    d = _inner_depth(field.q, K, N)
+    block = _block_generic(field, G[K - d :])
+    return _walk_generic(field, block, G[: K - d], offset, target_w, stop_at)
+
+
 # ---------------------------------------------------------------------------
-# dispatch, partitioning, workers
+# scalar classes, pieces, workers
 
 
-def _scan(field, G, offset, target_w, stop_at):
-    """Run the packed engine over F_3 and the generic engine otherwise."""
-    if field.q != 3:
-        return _scan_generic(field, G, offset, target_w, stop_at)
-    counts, raw, aborted = _scan_packed3(field, G, offset, target_w, stop_at)
-    sup = {_unpack_support_words(k) for k in raw} if raw is not None else None
-    return counts, sup, aborted
+class _ClassScan:
+    """Walks the scalar classes of the row space of G, a piece at a time.
+
+    A piece (i, digits) is the part of stratum i whose first len(digits)
+    free symbols are fixed to `digits`: its words are G[i] plus those
+    digits times the next rows, plus every combination of the rest. The
+    inner block, shared by all pieces, holds the combinations of the
+    trailing rows; a piece with fewer free rows uses a prefix of it.
+    """
+
+    def __init__(self, field, G, target_w):
+        K, N = G.shape
+        self.field, self.G, self.target_w = field, G, target_w
+        self.depth = _inner_depth(field.q, K - 1, N)
+        build, self.walk = (_block3, _walk3) if field.q == 3 else (_block_generic, _walk_generic)
+        self.block = build(field, G[K - self.depth :])
+
+    def run(self, piece, stop_at=None):
+        """(counts, supports, aborted) over the words of one piece."""
+        i, digits = piece
+        field, G = self.field, self.G
+        K = len(G)
+        offset = G[i]
+        for digit, row in zip(digits, G[i + 1 :]):
+            offset = field.vadd(offset, field.vscale(digit, row))
+        free = K - 1 - i - len(digits)
+        d = min(free, self.depth)
+        block = self.block[..., : field.q**d]
+        return self.walk(field, block, G[K - free : K - d], offset, self.target_w, stop_at)
+
+
+def _pieces(q: int, K: int, workers: int) -> list[tuple[int, tuple[int, ...]]]:
+    """Pieces covering every scalar class once, largest first.
+
+    Stratum i holds the q^(K-1-i) messages whose first nonzero symbol is
+    a 1 at position i. A stratum of more than a quarter of one worker's
+    share is split by fixing its leading free symbols into pieces of the
+    same size, at most that quarter, so workers handed pieces largest
+    first finish close together.
+    """
+    classes = (q**K - 1) // (q - 1)
+    size = -(-classes // (4 * workers))
+    out = []
+    for i in range(K):
+        t = 0
+        while q ** (K - 1 - i - t) > size:
+            t += 1
+        out.extend((i, digits) for digits in itertools.product(range(q), repeat=t))
+    return out
+
+
+_worker_scan: _ClassScan | None = None  # set in each pool worker by _init_worker
+
+
+def _init_worker(scan: _ClassScan) -> None:
+    global _worker_scan
+    _worker_scan = scan
+
+
+def _run_piece(piece):
+    return _worker_scan.run(piece)
 
 
 def _check_budget(C: LinearCode, budget: int) -> int:
@@ -299,46 +396,38 @@ def _check_budget(C: LinearCode, budget: int) -> int:
     return total
 
 
-def _partition_depth(q: int, K: int, workers: int) -> int:
-    d = 0
-    while q**d < workers and d < K and q ** (K - d - 1) >= _MIN_WORKER_STEPS:
-        d += 1
-    return d
+def _scan_parallel(C: LinearCode, target_w, workers: int, stop_at=None):
+    """(A_0..A_N, weight-target_w supports) from one word per scalar class.
 
-
-def _scan_task(args):
-    q, G, digits, target_w = args
-    field = field_make(q)
-    d = len(digits)
-    offset = np.zeros(G.shape[1], dtype=np.int32)
-    for digit, row in zip(digits, G[:d]):
-        offset = field.vadd(offset, field.vscale(digit, row))
-    counts, sup, _ = _scan(field, G[d:], offset, target_w, None)
-    return counts, sup
-
-
-def _scan_parallel(C: LinearCode, target_w, workers: int):
-    field = C.field
-    G = C.G.a
-    d = _partition_depth(field.q, C.K, workers) if workers > 1 else 0
-    if d == 0:
-        zero = np.zeros(C.N, dtype=np.int32)
-        counts, sup, _ = _scan(field, G, zero, target_w, None)
-        return counts, sup
-    tasks = [
-        (field.q, G, digits, target_w)
-        for digits in itertools.product(range(field.q), repeat=d)
-    ]
-    from multiprocessing import get_context
-
-    with get_context("fork").Pool(workers) as pool:
-        parts = pool.map(_scan_task, tasks)
+    Scalar multiples share weight and support, so the scan visits the
+    (q^K - 1)/(q - 1) messages whose first nonzero symbol is 1 and
+    rebuilds A_0 = 1, A_w = (q - 1) * count. `stop_at` (one worker
+    only) ends the scan at the first block of words that holds a word of
+    weight below it.
+    """
+    q, K = C.field.q, C.K
     counts = np.zeros(C.N + 1, dtype=np.int64)
     sup = set() if target_w is not None else None
-    for c, s in parts:
-        counts += c
-        if sup is not None:
-            sup |= s
+    if K:
+        scan = _ClassScan(C.field, C.G.a, target_w)
+        if (q**K - 1) // (q - 1) < workers * _MIN_WORKER_STEPS:
+            workers = 1
+        pieces = _pieces(q, K, workers)
+        if workers > 1:
+            from multiprocessing import get_context
+
+            with get_context("fork").Pool(workers, _init_worker, (scan,)) as pool:
+                parts = list(pool.imap_unordered(_run_piece, pieces))
+        else:
+            parts = (scan.run(piece, stop_at) for piece in pieces)
+        for c, s, aborted in parts:
+            counts += c
+            if sup is not None:
+                sup |= s
+            if aborted:
+                break
+    counts[1:] *= q - 1
+    counts[0] = 1
     return counts, sup
 
 
@@ -351,12 +440,12 @@ def weight_distribution(
     budget: int = DEFAULT_BUDGET,
     workers: int = 1,
 ) -> WeightDistribution:
-    """Exact A_0..A_N over all q^K codewords.
+    """Exact A_0..A_N over all q^K codewords, from one word per scalar class.
 
     Args:
         C: the code to enumerate.
         budget: maximum number of messages; q^K above it raises.
-        workers: partition the message space across this many processes by
+        workers: split the scalar classes across this many processes by
             fixing leading message symbols; results are identical for any
             worker count.
 
@@ -375,7 +464,7 @@ def min_distance(
     budget: int = DEFAULT_BUDGET,
     stop_at: int | None = None,
 ) -> int:
-    """Minimum nonzero weight by exhaustive scan.
+    """Minimum nonzero weight by exhaustive scan of one word per scalar class.
 
     With `stop_at` set to a claimed lower bound on the distance, the scan
     aborts as soon as any codeword of weight strictly below the bound
@@ -389,8 +478,7 @@ def min_distance(
     _check_budget(C, budget)
     if C.K == 0:
         raise OutOfRange("zero-dimensional code has no nonzero codeword")
-    zero = np.zeros(C.N, dtype=np.int32)
-    counts, _, _ = _scan(C.field, C.G.a, zero, None, stop_at)
+    counts, _ = _scan_parallel(C, None, 1, stop_at)
     nz = np.flatnonzero(counts[1:])
     return int(nz[0]) + 1
 
@@ -403,8 +491,9 @@ def min_weight_supports(
 ) -> BlockFamily:
     """Deduplicated supports of all weight-w codewords.
 
-    Scalar multiples share a support, so the block count is at most
-    A_w/(q-1); whether other collisions occur is measured, not assumed.
+    Scalar multiples share a support, so the scan takes the support of one
+    word per scalar class and the block count is at most A_w/(q-1);
+    whether two classes share a support is measured, not assumed.
 
     Raises:
         BudgetExceeded: if q^K > budget.

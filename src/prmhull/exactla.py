@@ -256,7 +256,11 @@ def _rref_multiples(field: Field, M: np.ndarray) -> tuple[np.ndarray, tuple[int,
             M[r, c:] = field.vscale(field.inv(piv), M[r, c:])
         f = M[:, c].copy()
         f[r] = 0
-        vals, which = np.unique(f, return_inverse=True)
+        # Distinct entries by sort and compare: np.unique(f) (numpy 2.4)
+        # imports numpy.ma, about 40 ms, on its first call in a process.
+        s = np.sort(f)
+        vals = s[np.concatenate(([True], s[1:] != s[:-1]))]
+        which = np.searchsorted(vals, f)
         mult = field.vmul(vals[:, None], M[r, c:][None, :])
         M[:, c:] = field.vsub(M[:, c:], mult[which])
         pivots.append(c)

@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -98,6 +102,85 @@ def test_packed_and_generic_paths_agree():
         assert packed.counts.tolist() == generic.tolist()
 
 
+# One code per field with K >= 4 rows, so that with the inner blocks capped
+# at one row the outer walk, split strata and prefix blocks all run.
+CLASS_SCAN_CODES = {2: (3, 1), 3: (2, 2), 4: (1, 3), 5: (1, 3), 7: (1, 3), 8: (1, 3), 9: (1, 3)}
+
+
+def one_row_inner_blocks(monkeypatch):
+    monkeypatch.setattr(analyze, "_GENERIC_CELL_CAP", 1)
+    monkeypatch.setattr(analyze, "_PACK_BLOCK_CAP", 3)
+    monkeypatch.setattr(analyze, "_MIN_WORKER_STEPS", 1)
+
+
+@pytest.mark.parametrize("q", sorted(CLASS_SCAN_CODES))
+def test_class_scan_matches_oracle(q, monkeypatch):
+    one_row_inner_blocks(monkeypatch)
+    n, k = CLASS_SCAN_CODES[q]
+    C = prm_code(field_make(q), n, k)
+    assert analyze._inner_depth(q, C.K - 1, C.N) == 1 < C.K - 2
+    expected = ref_weight_distribution(C.field, C.G.a)
+    w = min_dist_formula(n, k, q)
+    reference_blocks = tuple(sorted(generic_scan(C, w)[1]))
+    for workers in (1, 2, 3):
+        dist, fam = analyze.weight_distribution_with_supports(C, w, workers=workers)
+        assert dist.counts.tolist() == expected, workers
+        assert fam.blocks == reference_blocks, workers
+        assert weight_distribution(C, workers=workers).counts.tolist() == expected
+
+
+@pytest.mark.parametrize("q,n,k", [(3, 2, 2), (3, 1, 1), (4, 1, 3), (5, 1, 2), (2, 3, 1)])
+def test_scan_visits_one_word_per_scalar_class(q, n, k, monkeypatch):
+    one_row_inner_blocks(monkeypatch)
+    visited = []
+    for name in ("_walk3", "_walk_generic"):
+        walk = getattr(analyze, name)
+
+        def spy(*args, _walk=walk):
+            counts, sup, aborted = _walk(*args)
+            visited.append(int(counts.sum()))
+            return counts, sup, aborted
+
+        monkeypatch.setattr(analyze, name, spy)
+    C = prm_code(field_make(q), n, k)
+    classes = (q**C.K - 1) // (q - 1)
+    for scan in (
+        lambda: weight_distribution(C),
+        lambda: min_distance(C),
+        lambda: min_weight_supports(C, min_dist_formula(n, k, q)),
+    ):
+        visited.clear()
+        scan()
+        assert sum(visited) == classes
+
+
+@pytest.mark.parametrize(
+    "q,K,workers", [(2, 1, 1), (2, 6, 3), (3, 5, 2), (4, 4, 1), (5, 3, 7), (9, 3, 2)]
+)
+def test_pieces_cover_each_scalar_class_once(q, K, workers):
+    seen = []
+    for i, digits in analyze._pieces(q, K, workers):
+        free = K - 1 - i - len(digits)
+        head = (0,) * i + (1,) + digits
+        seen.extend(head + tail for tail in itertools.product(range(q), repeat=free))
+    leading_one = [
+        m for m in itertools.product(range(q), repeat=K) if next((x for x in m if x), 0) == 1
+    ]
+    assert sorted(seen) == leading_one
+
+
+def test_pieces_balance_two_workers():
+    # The 17-row F_3 scan on two workers: pieces handed out largest first
+    # keep the busier worker within 5% of an even split.
+    q, K, workers = 3, 17, 2
+    sizes = [q ** (K - 1 - i - len(d)) for i, d in analyze._pieces(q, K, workers)]
+    assert sizes == sorted(sizes, reverse=True)
+    load = [0] * workers
+    for s in sizes:
+        load[load.index(min(load))] += s
+    assert max(load) <= 1.05 * sum(sizes) / workers
+
+
 def test_lost_messages_raise(monkeypatch):
     # A scan whose counts do not sum to q^K is a bug; the check must raise
     # rather than assert, so it also runs under python -O.
@@ -157,6 +240,43 @@ def test_polynomial_string():
     assert zero.to_polynomial_string() == "1"
     rep2 = weight_distribution(make_code(2, [[1, 1]]))
     assert rep2.to_polynomial_string() == "x^2 + y^2"
+
+
+def test_malformed_distribution_raises():
+    with pytest.raises(InternalInconsistency):
+        WeightDistribution([0, 8])
+    with pytest.raises(InternalInconsistency):
+        WeightDistribution([[1, 0], [0, 8]])
+
+
+def test_malformed_block_family_raises():
+    with pytest.raises(ValueError):
+        BlockFamily(4, ((1, 0),))  # unsorted
+    with pytest.raises(ValueError):
+        BlockFamily(4, ((0, 1), (0, 1)))  # repeated
+    with pytest.raises(ValueError):
+        BlockFamily(4, ((2, 4),))  # outside 0..3
+
+
+def test_result_checks_raise_under_optimize():
+    # python -O strips assert statements; the checks must raise regardless.
+    script = (
+        "from prmhull.analyze import BlockFamily, WeightDistribution\n"
+        "from prmhull.errors import InternalInconsistency\n"
+        "for make, exc in ((lambda: WeightDistribution([0, 8]), InternalInconsistency),\n"
+        "                  (lambda: BlockFamily(4, ((2, 4),)), ValueError)):\n"
+        "    try:\n"
+        "        make()\n"
+        "    except exc:\n"
+        "        continue\n"
+        "    raise SystemExit(1)\n"
+    )
+    paths = [str(Path(analyze.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(x for x in paths if x))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 def test_pairs_roundtrip_and_equality():
