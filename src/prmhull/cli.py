@@ -674,7 +674,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--budget",
         type=int,
         default=DEFAULT_BUDGET,
-        help="maximum number of codewords an enumeration may visit",
+        help="largest q^K an enumeration may cover",
     )
     enum.add_argument(
         "--workers", type=int, default=1, help="process count for enumerations"

@@ -7,6 +7,10 @@ multiplicative identity. Scalar operations live on :class:`Field`;
 vectorized counterparts (prefixed ``v``) accept numpy integer arrays of
 any shape and are the building blocks for the exact linear algebra and
 the codeword enumeration fast paths.
+
+Addition works on the digits. Multiplication, inversion and powers, scalar
+and vectorized alike, are lookups in one pair of discrete-log tables, built
+at construction for every q from the powers of a generator of F_q^*.
 """
 
 from __future__ import annotations
@@ -16,11 +20,7 @@ import itertools
 
 import numpy as np
 
-from .errors import DivisionByZero, NotPrimePower
-
-# Full multiplication tables are only built for small fields; above this
-# the memory cost (q^2 entries) outweighs the lookup win.
-TABLE_LIMIT = 256
+from .errors import DivisionByZero, InternalInconsistency, NotPrimePower
 
 MAX_Q = 1 << 16
 
@@ -98,6 +98,12 @@ class Field:
 
     Immutable after construction; safe to share between workers. Obtain
     instances through :func:`field_make`, which caches one per q.
+
+    Every product goes through two discrete-log tables built here, for a
+    generator g of the cyclic group F_q^*: ``_log[a]`` is log_g a, with the
+    sentinel 2(q-1) for a = 0, and ``_exp`` holds g^i for i < 2(q-1) and
+    zeros up to index 4(q-1). So ``_exp[_log[a] + _log[b]]`` is a*b for
+    every a and b, zero included.
     """
 
     def __init__(self, q: int):
@@ -107,84 +113,55 @@ class Field:
         self.e = e
         self.modulus = _canonical_modulus(p, e)
         self._powers_of_p = tuple(p**i for i in range(e))
-        self._mul_table: np.ndarray | None = None
-        self._inv_table: np.ndarray | None = None
-        self._exp_table: np.ndarray | None = None
-        self._log_table: np.ndarray | None = None
-        if q <= TABLE_LIMIT:
-            self._build_tables()
+        powers = self._generator_powers()
+        exp = np.zeros(4 * (q - 1) + 1, dtype=np.int32)
+        exp[: 2 * (q - 1)] = np.tile(powers, 2)
+        log = np.empty(q, dtype=np.int32)
+        log[powers] = np.arange(q - 1)
+        log[0] = 2 * (q - 1)
+        exp.flags.writeable = False
+        log.flags.writeable = False
+        self._exp = exp
+        self._log = log
 
     # -- construction helpers -------------------------------------------------
 
-    def _build_tables(self) -> None:
-        """Dense q x q multiplication table and inverse table, vectorized."""
-        q, p, e = self.q, self.p, self.e
-        idx = np.arange(q, dtype=np.int64)
-        digits = np.empty((q, e), dtype=np.int64)
-        for i in range(e):
-            digits[:, i] = (idx // self._powers_of_p[i]) % p
-        conv = np.zeros((q, q, 2 * e - 1), dtype=np.int64)
+    def _poly_mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Elementwise product of int64 index arrays as polynomials over F_p,
+        reduced modulo the field modulus."""
+        p, e = self.p, self.e
+        da = [a // w % p for w in self._powers_of_p]
+        db = [b // w % p for w in self._powers_of_p]
+        prod = [0] * (2 * e - 1)
         for i in range(e):
             for j in range(e):
-                conv[:, :, i + j] += np.multiply.outer(digits[:, i], digits[:, j])
-        conv %= p
+                prod[i + j] += da[i] * db[j]
         for d in range(2 * e - 2, e - 1, -1):
-            coeff = conv[:, :, d]
+            c = prod[d] % p
             for t in range(e):
-                if self.modulus[t]:
-                    conv[:, :, d - e + t] = (
-                        conv[:, :, d - e + t] - coeff * self.modulus[t]
-                    ) % p
-            conv[:, :, d] = 0
-        table = np.zeros((q, q), dtype=np.int64)
-        for i in range(e):
-            table += conv[:, :, i] * self._powers_of_p[i]
-        self._mul_table = table.astype(np.int32)
-        ones = self._mul_table == 1
-        assert np.all(ones[1:].any(axis=1)), "every nonzero element must have an inverse"
-        inv = np.argmax(ones, axis=1).astype(np.int32)
-        inv[0] = 0
-        self._inv_table = inv
+                prod[d - e + t] -= c * self.modulus[t]
+        return sum(prod[t] % p * w for t, w in enumerate(self._powers_of_p))
 
-    @property
-    def mul_table(self) -> np.ndarray:
-        """q x q multiplication table (only for q <= TABLE_LIMIT)."""
-        if self._mul_table is None:
-            raise ValueError(f"no dense table for q={self.q} > {TABLE_LIMIT}")
-        return self._mul_table
+    def _generator_powers(self) -> np.ndarray:
+        """g^0, ..., g^(q-2) for the smallest index g that generates F_q^*.
 
-    def _build_exp_log(self) -> None:
-        """Discrete-log tables for vectorized products in large extension fields."""
+        The powers of each candidate are built by doubling: the first t
+        powers times g^t are the next t. A candidate is dropped as soon as
+        a 1 turns up among its first q - 1 powers after g^0.
+        """
         q = self.q
-        # factor q-1, then search for a generator of the multiplicative group
-        m = q - 1
-        prime_factors = []
-        d = 2
-        while d * d <= m:
-            if m % d == 0:
-                prime_factors.append(d)
-                while m % d == 0:
-                    m //= d
-            d += 1
-        if m > 1:
-            prime_factors.append(m)
-        g = None
-        for cand in range(2, q):
-            if all(self.pow(cand, (q - 1) // r) != 1 for r in prime_factors):
-                g = cand
-                break
-        assert g is not None, "multiplicative group of a finite field is cyclic"
-        exp = np.zeros(2 * (q - 1), dtype=np.int64)
-        log = np.zeros(q, dtype=np.int64)
-        t = 1
-        for i in range(q - 1):
-            exp[i] = t
-            exp[i + (q - 1)] = t
-            log[t] = i
-            t = self.mul(t, g)
-        assert t == 1, "generator order must be q-1"
-        self._exp_table = exp
-        self._log_table = log
+        for g in range(1, q):
+            powers = np.ones(1, dtype=np.int64)
+            step = np.int64(g)  # g^t for t = powers.size
+            while powers.size < q - 1:
+                more = self._poly_mul(powers, step)
+                if (more[: q - 1 - powers.size] == 1).any():
+                    break
+                powers = np.concatenate([powers, more])
+                step = self._poly_mul(step, step)
+            else:
+                return powers[: q - 1]
+        raise InternalInconsistency(f"no generator of the multiplicative group of GF({q})")
 
     # -- scalar operations ----------------------------------------------------
 
@@ -214,67 +191,16 @@ class Field:
         return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
-        if self._mul_table is not None:
-            return int(self._mul_table[a, b])
-        p, e = self.p, self.e
-        if e == 1:
-            return a * b % p
-        if p == 2:
-            # carryless multiply on bit vectors, then reduce by the modulus mask
-            acc = 0
-            x = a
-            while x:
-                low = x & -x
-                acc ^= b << low.bit_length() - 1
-                x ^= low
-            mod_mask = 0
-            for i, c in enumerate(self.modulus):
-                mod_mask |= c << i
-            for d in range(acc.bit_length() - 1, e - 1, -1):
-                if acc >> d & 1:
-                    acc ^= mod_mask << (d - e)
-            return acc
-        da = [(a // w) % p for w in self._powers_of_p]
-        db = [(b // w) % p for w in self._powers_of_p]
-        prod = [0] * (2 * e - 1)
-        for i, ai in enumerate(da):
-            if ai:
-                for j, bj in enumerate(db):
-                    prod[i + j] = (prod[i + j] + ai * bj) % p
-        for d in range(2 * e - 2, e - 1, -1):
-            c = prod[d]
-            if c:
-                for t in range(e):
-                    prod[d - e + t] = (prod[d - e + t] - c * self.modulus[t]) % p
-        out = 0
-        for i in range(e):
-            out += prod[i] * self._powers_of_p[i]
-        return out
+        return int(self._exp[self._log[a] + self._log[b]])
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise DivisionByZero(f"inverse of 0 in GF({self.q})")
-        if self._inv_table is not None:
-            return int(self._inv_table[a])
-        return self.pow(a, self.q - 2)
+        return int(self._exp[self.q - 1 - self._log[a]])
 
     def pow(self, a: int, m: int) -> int:
         """a^m with the convention 0^0 = 1."""
-        if m == 0:
-            return 1
-        if a == 0:
-            return 0
-        m %= self.q - 1
-        if m == 0:
-            return 1
-        out = 1
-        base = a
-        while m:
-            if m & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            m >>= 1
-        return out
+        return int(self.vpow(np.asarray(a), m))
 
     # -- vectorized operations ------------------------------------------------
 
@@ -315,46 +241,20 @@ class Field:
         return out
 
     def vmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        if self._mul_table is not None:
-            return self._mul_table[a, b]
-        if self.e == 1:
-            return (a.astype(np.int64) * b) % self.p
-        if self._exp_table is None:
-            self._build_exp_log()
-        out = self._exp_table[self._log_table[a] + self._log_table[b]]
-        return np.where((a == 0) | (b == 0), 0, out).astype(np.int32)
+        return self._exp[self._log[a] + self._log[b]]
 
     def vscale(self, f: int, a: np.ndarray) -> np.ndarray:
         """Scalar f times every entry of a."""
-        if f == 0:
-            return np.zeros(a.shape, dtype=np.int32)
-        if f == 1:
-            return a.copy()
-        if self._mul_table is not None:
-            return self._mul_table[f][a]
-        if self.e == 1:
-            return (f * a.astype(np.int64)) % self.p
-        if self._exp_table is None:
-            self._build_exp_log()
-        out = self._exp_table[self._log_table[f] + self._log_table[a]]
-        return np.where(a == 0, 0, out).astype(np.int32)
+        return self._exp[self._log[f] + self._log[a]]
 
     def vpow(self, a: np.ndarray, m: int) -> np.ndarray:
-        """Elementwise a^m with 0^0 = 1, by square and multiply."""
+        """Elementwise a^m with 0^0 = 1: log a times m, modulo q - 1."""
         if m == 0:
-            return np.ones(a.shape, dtype=np.int32)
-        m %= self.q - 1
-        if m == 0:
-            # a^(q-1) is 1 for nonzero entries, 0 for zero entries
-            return (a != 0).astype(np.int32)
-        out = np.ones(a.shape, dtype=np.int32)
-        base = a.astype(np.int32)
-        while m:
-            if m & 1:
-                out = self.vmul(out, base)
-            base = self.vmul(base, base)
-            m >>= 1
-        return np.where(a == 0, 0, out).astype(np.int32)
+            return np.ones(np.shape(a), dtype=np.int32)
+        t = self._log[a]
+        tm = t.astype(np.int64) * (m % (self.q - 1)) % (self.q - 1)
+        # the sentinel of 0 stays put, so 0^m = 0 for every m != 0
+        return self._exp[np.where(t == self._log[0], t, tm)]
 
     def vsum(self, a: np.ndarray) -> int:
         """Field sum of all entries (addition is digitwise mod p)."""

@@ -12,26 +12,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import InternalInconsistency
 from .field import Field
 
 Monomial = tuple[int, ...]
-
-# per-field cache of the q x q power table pw[a, t] = a^t (0^0 = 1)
-_POW_TABLES: dict[int, np.ndarray] = {}
-
-
-def _pow_table(field: Field) -> np.ndarray:
-    tab = _POW_TABLES.get(field.q)
-    if tab is None:
-        q = field.q
-        idx = np.arange(q, dtype=np.int32)
-        tab = np.ones((q, q), dtype=np.int32)
-        for t in range(1, q):
-            tab[:, t] = field.vmul(tab[:, t - 1], idx)
-        tab.flags.writeable = False
-        _POW_TABLES[field.q] = tab
-    return tab
-
 
 def num_projective_points(q: int, n: int) -> int:
     return (q ** (n + 1) - 1) // (q - 1)
@@ -85,7 +69,8 @@ def projective_points(field: Field, n: int) -> ProjectivePointSet:
         block[:, lead + 1 :] = tail
         blocks.append(block)
     pts = np.vstack(blocks)
-    assert pts.shape[0] == num_projective_points(q, n)
+    if pts.shape[0] != num_projective_points(q, n):
+        raise InternalInconsistency(f"{pts.shape[0]} points built for P^{n}(F_{q})")
     return ProjectivePointSet(field, n, pts)
 
 
@@ -157,7 +142,7 @@ def evaluate(m: Monomial, P: ProjectivePointSet) -> np.ndarray:
 
     Reduction modulo x^q = x leaves the value at every field element
     unchanged (including 0, since reduced exponents of positive exponents
-    stay positive), so exponents are reduced before the table lookups.
+    stay positive), so exponents are reduced before evaluation.
     """
     if len(m) != P.pts.shape[1]:
         raise ValueError(f"monomial has {len(m)} exponents, points have {P.pts.shape[1]}")
@@ -170,21 +155,15 @@ def evaluate_rows(monomials: list[Monomial], P: ProjectivePointSet) -> np.ndarra
 
 
 def _evaluate_rows(field: Field, monomials: list[Monomial], pts: np.ndarray) -> np.ndarray:
+    # In the log domain x^m is exp[(m . log x) mod (q-1)], unless a
+    # coordinate with a positive exponent is 0; then the value is 0.
     q = field.q
     exps = np.array(
-        [reduce_monomial(m, q) for m in monomials], dtype=np.int32
+        [reduce_monomial(m, q) for m in monomials], dtype=np.int64
     ).reshape(len(monomials), pts.shape[1])
-    if q <= 256:
-        pw = _pow_table(field)
-        out = np.ones((len(monomials), pts.shape[0]), dtype=np.int32)
-        for j in range(pts.shape[1]):
-            out = field.vmul(out, pw[pts[:, j][None, :], exps[:, j][:, None]])
-        return out
-    out = np.ones((len(monomials), pts.shape[0]), dtype=np.int32)
-    for i in range(len(monomials)):
-        row = np.ones(pts.shape[0], dtype=np.int32)
-        for j in range(pts.shape[1]):
-            if exps[i, j]:
-                row = field.vmul(row, field.vpow(pts[:, j], int(exps[i, j])))
-        out[i] = row
-    return out
+    logs = field._log[pts].astype(np.int64)
+    zero = logs == field._log[0]
+    t = exps @ np.where(zero, 0, logs).T
+    t %= q - 1
+    t[(exps > 0) @ zero.T] = field._log[0]
+    return field._exp[t]

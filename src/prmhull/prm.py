@@ -131,8 +131,8 @@ def min_dist_formula(n: int, k: int, q: int) -> int:
     _require_proper(n, k, q)
     r, s = divmod(k - 1, q - 1)
     D = (q - s) * q ** (n - r - 1)
-    if k < q:
-        assert D == (q - k + 1) * q ** (n - 1)
+    if k < q and D != (q - k + 1) * q ** (n - 1):
+        raise InternalInconsistency(f"distance {D} != (q-k+1)q^(n-1) at n={n}, k={k}, q={q}")
     return D
 
 
@@ -221,7 +221,8 @@ def hull_basis_predicted(n: int, k: int, q: int):
     if 2 * k < q - 1:
         monos = monomials_of_degree(n, k)
         last = monos.pop()
-        assert last == (0,) * n + (k,)
+        if last != (0,) * n + (k,):
+            raise InternalInconsistency(f"last degree-{k} monomial is {last}, not x_{n}^{k}")
         return monos
     if q - 1 < 2 * k < 2 * (q - 1):
         excluded = set()

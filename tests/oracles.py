@@ -2,7 +2,10 @@
 
 Everything here is deliberately written in plain Python against field
 scalar operations only, with no shared code paths with the package's
-vectorized implementations.
+vectorized implementations. The field's scalar and vectorized products
+read the same discrete-log tables, so products have their own oracle,
+:func:`ref_mul`, which multiplies polynomials over F_p and never touches
+those tables; tests check the field's products against it.
 """
 
 from __future__ import annotations
@@ -10,6 +13,23 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+
+
+def ref_mul(field, a, b):
+    """Schoolbook product of two element indices as polynomials over F_p
+    (base-p digits, constant first), reduced modulo the monic field.modulus."""
+    p, e, mod = field.p, field.e, field.modulus
+    da = [a // p**i % p for i in range(e)]
+    db = [b // p**i % p for i in range(e)]
+    prod = [0] * (2 * e - 1)
+    for i in range(e):
+        for j in range(e):
+            prod[i + j] = (prod[i + j] + da[i] * db[j]) % p
+    for d in range(2 * e - 2, e - 1, -1):
+        c = prod[d]
+        for t in range(e + 1):
+            prod[d - e + t] = (prod[d - e + t] - c * mod[t]) % p
+    return sum(prod[i] * p**i for i in range(e))
 
 
 def ref_rref(field, M):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import csv
 import io
 import json
@@ -342,6 +343,17 @@ def test_selftest_catches_corrupted_reference_under_optimize():
     assert proc.returncode == EXIT_INTERNAL, proc.stdout + proc.stderr
     assert "FAIL embedded-reference-consistency" in proc.stdout
     assert "selftest: FAIL" in proc.stdout
+
+
+def test_library_has_no_assert_statements():
+    # python -O strips assert statements, so library checks must raise instead.
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(cli.__file__).resolve().parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
 
 
 def test_embedded_reference_agrees_with_formula_distance():

@@ -23,8 +23,8 @@ from prmhull.field import field_make
 
 from oracles import ref_matmul, ref_orthogonal, ref_rowspace, ref_rref
 
-# 257 and 1024 lie above field.TABLE_LIMIT, where products go through
-# exp/log tables instead of a dense multiplication table.
+# 257 and 1024 are prime and binary fields well above the sweep grid; every
+# field multiplies through the same discrete-log tables.
 KERNEL_QS = [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 257, 1024]
 
 # generator of the [4,2,3] self-dual ternary code: evaluations of x0, x1

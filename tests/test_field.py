@@ -8,7 +8,13 @@ import pytest
 from prmhull.errors import DivisionByZero, NotPrimePower
 from prmhull.field import Field, field_make, power_sum
 
+from oracles import ref_mul
+
 SWEEP_Q = [2, 3, 4, 5, 7, 8, 9]
+PRIME_POWERS_TO_64 = [
+    2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32,
+    37, 41, 43, 47, 49, 53, 59, 61, 64,
+]
 
 
 def poly_eval(coeffs, x, p):
@@ -127,6 +133,56 @@ class TestScalarArithmetic:
             field_make(7).inv(0)
         with pytest.raises(DivisionByZero):
             field_make(8).inv(0)
+
+
+def ref_pow(field, a, m):
+    """a^m by square and multiply on schoolbook products, 0^0 = 1."""
+    out = 1
+    while m:
+        if m & 1:
+            out = ref_mul(field, out, a)
+        a = ref_mul(field, a, a)
+        m >>= 1
+    return out
+
+
+class TestAgainstSchoolbook:
+    """Every product path against the table-free oracle ``ref_mul``."""
+
+    @pytest.mark.parametrize("q", PRIME_POWERS_TO_64)
+    def test_exhaustive(self, q):
+        f = field_make(q)
+        idx = np.arange(q, dtype=np.int32)
+        table = [[ref_mul(f, a, b) for b in range(q)] for a in range(q)]
+        assert f.vmul(idx[:, None], idx[None, :]).tolist() == table
+        assert [[f.mul(a, b) for b in range(q)] for a in range(q)] == table
+        assert [f.vscale(a, idx).tolist() for a in range(q)] == table
+        for a in range(1, q):
+            assert ref_mul(f, a, f.inv(a)) == 1
+        powers = np.ones(q, dtype=np.int64)  # a^m for every a, 0^0 = 1
+        for m in range(q + 1):
+            assert [f.pow(a, m) for a in range(q)] == powers.tolist()
+            assert f.vpow(idx, m).tolist() == powers.tolist()
+            powers = np.array([ref_mul(f, int(x), a) for a, x in enumerate(powers)])
+
+    @pytest.mark.parametrize("q", [257, 1024, 65521, 65536])
+    def test_random_pairs(self, q):
+        f = field_make(q)
+        rng = np.random.default_rng(q)
+        a = rng.integers(0, q, size=200)
+        b = rng.integers(0, q, size=200)
+        m = rng.integers(0, 4 * q, size=200)
+        ref = [ref_mul(f, x, y) for x, y in zip(a.tolist(), b.tolist())]
+        assert f.vmul(a, b).tolist() == ref
+        assert [f.mul(x, y) for x, y in zip(a.tolist(), b.tolist())] == ref
+        s = int(a[0])
+        assert f.vscale(s, b).tolist() == [ref_mul(f, s, y) for y in b.tolist()]
+        for x in a.tolist():
+            if x:
+                assert ref_mul(f, x, f.inv(x)) == 1
+        assert [f.pow(x, e) for x, e in zip(a.tolist(), m.tolist())] == [
+            ref_pow(f, x, e) for x, e in zip(a.tolist(), m.tolist())
+        ]
 
 
 class TestVectorized:

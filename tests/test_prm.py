@@ -318,6 +318,25 @@ def test_hull_dim_matches_constructed_on_grid():
                 assert predicted == measured, (n, k, q)
 
 
+# q = 257 lies above the sweep grid; n = 1 codes have length 258.
+BIG_Q_DEGREES = [1, 100, 128, 200]
+
+
+@pytest.mark.parametrize("k", BIG_Q_DEGREES)
+def test_classification_and_hull_both_ways_at_q257(k):
+    f = field_make(257)
+    assert classification_report(f, 1, k).agree
+    predicted = hull_dim_predicted(1, k, 257)
+    assert predicted is not NO_CLOSED_FORM
+    assert hull(prm_code(f, 1, k)).hull_dim == predicted
+
+
+@pytest.mark.parametrize("k", BIG_Q_DEGREES)
+def test_dual_matches_description_at_q257(k):
+    f = field_make(257)
+    assert equal_codes(dual(prm_code(f, 1, k)), described_dual_code(f, 1, k))
+
+
 def test_rsj_matches_measured_hull_on_plane():
     for q in (3, 4, 5, 7):
         f = field_make(q)
