@@ -80,9 +80,11 @@ class LinearCode:
 class HullReport:
     """Hull of a code computed two independent ways.
 
-    hull_dim comes from the orthogonal complement of C + C^⊥; gram_rank
-    from row-reducing G G^T. :func:`hull` raises InternalInconsistency
-    unless hull_dim = K - gram_rank.
+    hull_basis is the canonical basis of the orthogonal complement of
+    C + C^⊥, the sum of the canonical bases of C and its dual; hull_dim
+    is its dimension. gram_rank comes from row-reducing G G^T.
+    :func:`hull` raises InternalInconsistency unless
+    hull_dim = K - gram_rank.
     """
 
     def __init__(self, hull_basis: SubspaceBasis, hull_dim: int, gram_rank: int):
@@ -123,12 +125,18 @@ def dual(C: LinearCode) -> LinearCode:
 def hull(C: LinearCode) -> HullReport:
     """Hull = C ∩ C^⊥ = (C + C^⊥)^⊥, cross-checked against K - rank(G G^T).
 
+    C + C^⊥ is the sum of the two canonical bases the code already holds,
+    so only the part of the smaller one outside the larger is row-reduced.
+    When one of C, C^⊥ contains the other, the sum is the larger basis
+    itself and its complement is the other, cached when the dual was
+    computed: the hull basis then costs no row reduction, and only the
+    independent check row-reduces G G^T.
+
     Raises:
         InternalInconsistency: if the two computations disagree (a
         linear-algebra bug, not a property of the input).
     """
-    stacked = MatrixFq(C.field, np.vstack([C.G.a, dual(C).G.a]))
-    basis = SubspaceBasis.from_matrix(stacked).complement()
+    basis = (C.canonical() + dual(C).canonical()).complement()
     gr = C.gram_rank()
     if basis.dim != C.K - gr:
         raise InternalInconsistency(

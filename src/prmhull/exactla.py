@@ -1,4 +1,4 @@
-"""Exact dense linear algebra over F_q: RREF, rank, complements, intersection.
+"""Exact dense linear algebra over F_q: RREF, rank, complements, sums, intersection.
 
 Matrices are numpy int32 arrays of element indices wrapped with their
 field. Row reduction picks pivots deterministically (first nonzero entry
@@ -14,9 +14,16 @@ of two elimination kernels:
 
 The RREF of a row space is unique, so both kernels give the same output
 (cross-checked in tests). The digit-plane kernel exists because the
-formula-validation sweep row-reduces matrices up to 820 x 1640 over
-GF(9), where the digitwise generic subtraction is about eight times
-slower.
+formula-validation sweep row-reduces codes up to [820, 410] over GF(9),
+where the digitwise generic subtraction is about eight times slower.
+
+Elimination is avoided wherever a canonical basis is already known. The
+sum of two canonical bases reduces only the rows the smaller one adds to
+the larger, after one exact product clears the larger's pivot columns,
+so the hull (C + C^⊥)^⊥ never stacks the two N-column bases; and a
+basis caches its orthogonal complement. Exact products run on float64
+BLAS over digit planes, one product per convolution digit, and reduce
+each output digit once.
 """
 
 from __future__ import annotations
@@ -102,6 +109,7 @@ class SubspaceBasis:
     def __init__(self, matrix: MatrixFq, pivots: tuple[int, ...]):
         self.matrix = matrix
         self.pivots = pivots
+        self._complement: SubspaceBasis | None = None
 
     @property
     def dim(self) -> int:
@@ -123,15 +131,51 @@ class SubspaceBasis:
         column, zeros in the other non-pivot columns, and minus that
         column of the RREF in the pivot columns. It is reduced only in
         reversed column order, so it is row-reduced once more.
+
+        The result is cached on this instance, and this instance on the
+        result, since (V^⊥)^⊥ = V: a second call, or the complement of
+        the complement, costs nothing.
         """
-        f = self.matrix.field
-        pivots = set(self.pivots)
-        free = [c for c in range(self.ambient) if c not in pivots]
-        basis = np.zeros((len(free), self.ambient), dtype=np.int32)
-        basis[np.arange(len(free)), free] = 1
-        if self.dim:
-            basis[:, list(self.pivots)] = f.vneg(self.matrix.a[:, free].T)
-        return SubspaceBasis.from_matrix(MatrixFq(f, basis))
+        if self._complement is None:
+            f = self.matrix.field
+            pivots = set(self.pivots)
+            free = [c for c in range(self.ambient) if c not in pivots]
+            basis = np.zeros((len(free), self.ambient), dtype=np.int32)
+            basis[np.arange(len(free)), free] = 1
+            if self.dim:
+                basis[:, list(self.pivots)] = f.vneg(self.matrix.a[:, free].T)
+            comp = SubspaceBasis.from_matrix(MatrixFq(f, basis))
+            comp._complement = self
+            self._complement = comp
+        return self._complement
+
+    def __add__(self, other: "SubspaceBasis") -> "SubspaceBasis":
+        """Canonical basis of the sum of the two row spaces.
+
+        With A the larger basis, B' = B - B[:, pivots(A)]·A is B reduced
+        by A's pivot rows, zero in every pivot column of A. If B' = 0 the
+        sum is A itself. Otherwise R = RREF(B') brings new pivots, and
+        A' = A - A[:, pivots(R)]·R clears them from A; the rows of A' and
+        R, merged by pivot, are the RREF of the sum. Only B' is row-reduced,
+        never the stacked [A; B].
+        """
+        if self.matrix.field != other.matrix.field:
+            raise FieldMismatch(f"{self.matrix.field} vs {other.matrix.field}")
+        if self.ambient != other.ambient:
+            raise DimensionMismatch(f"ambient {self.ambient} vs {other.ambient}")
+        A, B = (self, other) if self.dim >= other.dim else (other, self)
+        if B.dim == 0:
+            return A
+        f = A.matrix.field
+        B_red = f.vsub(B.matrix.a, _reduce_by(B.matrix.a, A))
+        if not B_red.any():
+            return A
+        R = SubspaceBasis.from_matrix(MatrixFq(f, B_red))
+        A_red = f.vsub(A.matrix.a, _reduce_by(A.matrix.a, R))
+        pivots = A.pivots + R.pivots
+        order = np.argsort(pivots, kind="stable")
+        rows = np.vstack([A_red, R.matrix.a])[order]
+        return SubspaceBasis(MatrixFq(f, rows), tuple(pivots[i] for i in order))
 
     def contains_rows(self, V: np.ndarray) -> bool:
         """True iff every row of V lies in the span.
@@ -140,14 +184,12 @@ class SubspaceBasis:
         increase the rank: each row is reduced by the pivot rows and must
         vanish.
         """
-        f = self.matrix.field
         if V.shape[1] != self.ambient:
             raise DimensionMismatch(f"ambient {self.ambient}, vectors of length {V.shape[1]}")
         if self.dim == 0:
             return not V.any()
-        coeffs = V[:, list(self.pivots)]
-        recon = _mat_mul_arrays(f, coeffs.astype(np.int32), self.matrix.a)
-        return not f.vsub(V.astype(np.int32), recon).any()
+        V = V.astype(np.int32)
+        return not self.matrix.field.vsub(V, _reduce_by(V, self)).any()
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, SubspaceBasis) and self.matrix == other.matrix
@@ -157,6 +199,12 @@ class SubspaceBasis:
 
     def __repr__(self) -> str:
         return f"SubspaceBasis(GF({self.matrix.field.q}), dim {self.dim}, ambient {self.ambient})"
+
+
+def _reduce_by(V: np.ndarray, basis: SubspaceBasis) -> np.ndarray:
+    """V[:, pivots]·basis: the part of V's rows that the pivot rows account for."""
+    coeffs = MatrixFq(basis.matrix.field, V[:, list(basis.pivots)])
+    return mat_mul(coeffs, basis.matrix).a
 
 
 # -- row reduction kernels --------------------------------------------------
@@ -298,40 +346,72 @@ def transpose(M: MatrixFq) -> MatrixFq:
     return MatrixFq(M.field, M.a.T.copy())
 
 
+# B is taken this many columns at a time, so the float64 digit planes and
+# digits of a product with many digits and a long output row (the n = 1
+# codes at q = 2048 have rows of 2049) are those of one block, not of
+# the whole output.
+_PRODUCT_COLUMNS = 256
+
+
 def _mat_mul_arrays(field: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Exact product over F_q via float64 BLAS on digit planes.
 
-    Entries are < p, so inner products of length up to ~10^6 for the
-    largest supported p stay exactly representable in float64.
+    Digit d of the convolution of the operands' digit planes, the sum of
+    a_i @ b_j over i + j = d, is one product: A's planes side by side
+    times B's planes stacked in reverse order, both sliced to the pairs
+    that meet at d. Digit t of the product is convolution digit t plus
+    each x^d (d >= e) term scaled by digit t of x^d modulo the field
+    modulus. That folded sum is formed in float64 while it is still an
+    exact integer, each high digit folded as soon as it is formed, and
+    each output digit is then reduced once, as int64 mod p. A convolution
+    digit sums at most e plane products of at most inner*(p-1)^2 each,
+    and a folded digit adds e-1 such sums scaled by a digit below p, so
+    every intermediate value is at most
+    inner*(p-1)^2*e*(1 + (e-1)*(p-1)), kept below 2^52. B is taken in
+    blocks of _PRODUCT_COLUMNS columns; A's planes are formed once.
     """
     p, e = field.p, field.e
     inner = A.shape[1]
-    if inner * (p - 1) * (p - 1) >= 1 << 52:
+    if inner * (p - 1) ** 2 * e * (1 + (e - 1) * (p - 1)) >= 1 << 52:
         raise DimensionMismatch(
             f"inner dimension {inner} too large for an exact product over GF({field.q})"
         )
-    if e == 1:
-        C = (A.astype(np.float64) @ B.astype(np.float64)) % p
-        return C.astype(np.int32)
-    planes_a = [((A // w) % p).astype(np.float64) for w in field._powers_of_p]
-    planes_b = [((B // w) % p).astype(np.float64) for w in field._powers_of_p]
-    conv = [None] * (2 * e - 1)
-    for i in range(e):
-        for j in range(e):
-            prod = planes_a[i] @ planes_b[j]
-            d = i + j
-            conv[d] = prod if conv[d] is None else conv[d] + prod
-    # reduce x^d for d >= e using the digit expansion of x^d mod the modulus
-    out_digits = [conv[t] % p for t in range(e)]
-    for d in range(e, 2 * e - 1):
-        xd = _x_power_digits(field, d)
-        for t in range(e):
-            if xd[t]:
-                out_digits[t] = (out_digits[t] + conv[d] % p * xd[t]) % p
-    out = np.zeros(A.shape[:1] + B.shape[1:], dtype=np.int32)
-    for t, w in enumerate(field._powers_of_p):
-        out += out_digits[t].astype(np.int32) * w
+    w = np.array(field._powers_of_p, dtype=np.int32)
+    a = _digit_planes(field, A[:, None, :], w[:, None]).reshape(A.shape[0], e * inner)
+
+    def conv(b: np.ndarray, d: int) -> np.ndarray:
+        lo, hi = max(0, d - e + 1), min(d, e - 1)
+        return a[:, lo * inner : (hi + 1) * inner] @ b[(e - 1 - d + lo) * inner : (e - d + hi) * inner]
+
+    out = np.empty((A.shape[0], B.shape[1]), dtype=np.int32)
+    for c in range(0, B.shape[1], _PRODUCT_COLUMNS):
+        cols = B[:, c : c + _PRODUCT_COLUMNS]
+        b = _digit_planes(field, cols[None], w[::-1, None, None]).reshape(e * inner, cols.shape[1])
+        digits = [conv(b, t) for t in range(e)]
+        for d in range(e, 2 * e - 1):
+            high = conv(b, d)
+            for t, x in enumerate(_x_power_digits(field, d)):
+                if x:
+                    digits[t] += x * high
+        block = out[:, c : c + _PRODUCT_COLUMNS]
+        block[:] = _reduce_exact(digits[0], p)
+        for t in range(1, e):
+            block += _reduce_exact(digits[t], p) * field._powers_of_p[t]
     return out
+
+
+def _digit_planes(field: Field, X: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The base-p digits X // w % p as float64; X itself over a prime field."""
+    if field.e == 1:
+        return X.astype(np.float64)
+    d = X // w
+    d %= field.p
+    return d.astype(np.float64)
+
+
+def _reduce_exact(C: np.ndarray, p: int) -> np.ndarray:
+    """A float64 array of exact nonnegative integers, reduced mod p as int32."""
+    return (C.astype(np.int64) % p).astype(np.int32)
 
 
 def _x_power_digits(field: Field, d: int) -> tuple[int, ...]:

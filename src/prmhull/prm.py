@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .code import LinearCode, code_from_rows, hull, is_lcd, is_self_dual, is_self_orthogonal
+from .code import LinearCode, hull, is_lcd, is_self_dual, is_self_orthogonal
 from .errors import DimensionMismatch, InternalInconsistency, OutOfRange
-from .exactla import MatrixFq
+from .exactla import MatrixFq, SubspaceBasis
 from .field import Field
 from .geometry import (
     Monomial,
@@ -334,8 +334,16 @@ def described_dual_code(field: Field, n: int, k: int) -> LinearCode:
     base = prm_code(field, n, desc.ell)
     if not desc.adjoin_ones:
         return base
-    rows = np.vstack([np.ones((1, base.N), dtype=np.int32), base.G.a])
-    return code_from_rows(field, rows, label=f"span(1, PRM(n={n},k={desc.ell},q={q}))")
+    return adjoin_ones(base, label=f"span(1, PRM(n={n},k={desc.ell},q={q}))")
+
+
+def adjoin_ones(C: LinearCode, label: str = "") -> LinearCode:
+    """span(1, C), as the sum of C's canonical basis and the all-ones row.
+
+    The all-ones row is its own canonical basis, with pivot 0.
+    """
+    ones = SubspaceBasis(MatrixFq(C.field, np.ones((1, C.N), dtype=np.int32)), (0,))
+    return LinearCode.from_basis(ones + C.canonical(), label=label)
 
 
 class ClassificationReport:

@@ -16,10 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analyze import min_distance
-from .code import code_from_rows, contains_vector, dual, equal_codes
+from .code import contains_vector, dual, equal_codes
 from .errors import UsageError
 from .field import field_make
 from .prm import (
+    adjoin_ones,
     classify_code,
     dim_mr,
     dim_sorensen,
@@ -61,7 +62,7 @@ def _sweep_row(field, n: int, k: int, get_code) -> dict:
     if desc.ell == 0:
         E = prm_code(field, n, 0)
     elif desc.adjoin_ones:
-        E = code_from_rows(field, np.vstack([ones, get_code(desc.ell).G.a]))
+        E = adjoin_ones(get_code(desc.ell))
     else:
         E = get_code(desc.ell)
     dual_ok = equal_codes(D, E)

@@ -495,9 +495,10 @@ def test_run_sweep_spec_validation():
 
 def test_sweep_row_reduces_each_code_once(monkeypatch):
     # Per point: the code (shared with the point of degree n(q-1) - k),
-    # its dual, the all-ones extension of the dual-side code, the N x N
-    # stack [G; H] and its complement, and the two Gram matrices. No
-    # matrix is wider than the code is long.
+    # its dual, the rows the all-ones extension of the dual-side code and
+    # C + C^⊥ add to the larger canonical basis, the hull as the
+    # complement of that sum, and the two Gram matrices. No matrix is
+    # wider than the code is long.
     real_rref = exactla._rref_array
     calls = []
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from prmhull import field_make
+from prmhull import exactla, field_make
 from prmhull.code import (
     LinearCode,
     code_from_rows,
@@ -20,6 +20,7 @@ from prmhull.code import (
 from prmhull.errors import DimensionMismatch, FieldMismatch, InternalInconsistency
 from prmhull.exactla import MatrixFq, SubspaceBasis, mat_mul, transpose
 from prmhull.geometry import evaluate_rows, projective_points
+from prmhull.prm import prm_code
 
 
 def make_code(field, rows, label=""):
@@ -159,6 +160,30 @@ def test_projective_line_code_hull():
     assert rep.hull_dim == 2
     assert not is_self_orthogonal(C)
     assert not is_lcd(C)
+
+
+@pytest.mark.parametrize("n,k,q", [(3, 3, 3), (2, 3, 5), (2, 4, 4), (2, 2, 7)])
+def test_hull_reduces_no_stacked_block(monkeypatch, n, k, q):
+    # C + C^⊥ is summed from the two canonical bases, so no row reduction
+    # inside hull() sees more rows than the larger of C and C^⊥; the
+    # N x N stack [G; H] would have N rows. (3, 3, 3) is the self-dual
+    # [40, 20] code, whose hull needs no reduction beyond its dual and
+    # Gram matrix.
+    C = prm_code(field_make(q), n, k)
+    rows = []
+    real_rref = exactla._rref_array
+
+    def spy(field, A):
+        rows.append(A.shape[0])
+        return real_rref(field, A)
+
+    monkeypatch.setattr(exactla, "_rref_array", spy)
+    rep = hull(C)
+    assert rows and max(rows) <= max(C.K, C.N - C.K)
+    assert rep.hull_dim == C.K - rep.gram_rank
+    if (n, k, q) == (3, 3, 3):
+        assert (C.N, C.K, rep.hull_dim) == (40, 20, 20)
+        assert rep.hull_basis is dual(C).canonical() and len(rows) == 2
 
 
 def test_hull_report_json():

@@ -256,6 +256,61 @@ class TestMatMul:
         with pytest.raises(DimensionMismatch):
             mat_mul(A, B)
 
+    @pytest.mark.parametrize("q", [4, 8, 9, 27, 1024])
+    def test_folded_digits_against_triple_loop(self, q):
+        # At inner dimension 70 each convolution digit, and each digit the
+        # x^d terms (d >= e) fold into, is far above p before its one
+        # reduction.
+        f = field_make(q)
+        rng = np.random.default_rng(q * 5)
+        A = MatrixFq(f, rng.integers(0, q, size=(3, 70)).astype(np.int32))
+        B = MatrixFq(f, rng.integers(0, q, size=(70, 4)).astype(np.int32))
+        assert np.array_equal(mat_mul(A, B).a, ref_matmul(f, A.a, B.a))
+        top = MatrixFq(f, np.full((2, 70), q - 1, dtype=np.int32))
+        assert np.array_equal(mat_mul(top, transpose(top)).a, ref_matmul(f, top.a, top.a.T))
+
+    @pytest.mark.parametrize("q", KERNEL_QS)
+    def test_small_inner_dimensions_against_triple_loop(self, q):
+        # Each plane is a block of `inner` columns of the stacked
+        # operands, as narrow as one; inner dimension 0 slices every
+        # block to nothing and gives the zero matrix.
+        f = field_make(q)
+        rng = np.random.default_rng(q * 11)
+        for inner in sorted({0, 1, 2, f.e - 1, f.e, f.e + 1}):
+            A = rng.integers(0, q, size=(4, inner)).astype(np.int32)
+            B = rng.integers(0, q, size=(inner, 6)).astype(np.int32)
+            got = exactla._mat_mul_arrays(f, A, B)
+            assert got.dtype == np.int32 and got.shape == (4, 6)
+            assert np.array_equal(got, ref_matmul(f, A, B)), (q, inner)
+
+    @pytest.mark.parametrize("q", [7, 8, 9, 1024])
+    @pytest.mark.parametrize("step", [1, 5])
+    def test_column_blocks_match_the_reference(self, q, step, monkeypatch):
+        # Blocks of `step` columns split B's 23 columns, the last block
+        # ragged; A's planes are shared by every block.
+        f = field_make(q)
+        rng = np.random.default_rng(q * 7 + step)
+        A = rng.integers(0, q, size=(5, 70)).astype(np.int32)
+        B = rng.integers(0, q, size=(70, 23)).astype(np.int32)
+        monkeypatch.setattr(exactla, "_PRODUCT_COLUMNS", step)
+        assert np.array_equal(exactla._mat_mul_arrays(f, A, B), ref_matmul(f, A, B))
+
+    def test_guard_counts_the_folded_digits(self):
+        # Over GF(251^2) a folded digit sums up to
+        # inner * 250^2 * 2 * (1 + 250), so this inner dimension is too
+        # large although inner * 250^2 alone is far below 2^52. The
+        # operands carry only a shape: a guard that let them through would
+        # fail on them at once instead of allocating gigabytes.
+        class ShapeOnly:
+            def __init__(self, shape):
+                self.shape = shape
+
+        f = field_make(251 * 251)
+        inner = (1 << 52) // (250 * 250 * 2 * 251) + 1
+        assert inner * 250 * 250 < 1 << 52
+        with pytest.raises(DimensionMismatch):
+            exactla._mat_mul_arrays(f, ShapeOnly((1, inner)), ShapeOnly((inner, 1)))
+
     def test_field_mismatch(self):
         with pytest.raises(FieldMismatch):
             mat_mul(MatrixFq(field_make(3), [[1]]), MatrixFq(field_make(5), [[1]]))
@@ -306,3 +361,72 @@ class TestSubspaceBasis:
         assert b.dim == 0
         assert b.contains_rows(np.zeros((1, 4), dtype=np.int32))
         assert not b.contains_rows(np.array([[1, 0, 0, 0]], dtype=np.int32))
+
+
+class TestSum:
+    """A + B against the canonical basis of the stacked [A; B]."""
+
+    @staticmethod
+    def assert_stacked(A: MatrixFq, B: MatrixFq):
+        stacked = SubspaceBasis.from_matrix(MatrixFq(A.field, np.vstack([A.a, B.a])))
+        a, b = SubspaceBasis.from_matrix(A), SubspaceBasis.from_matrix(B)
+        for got in (a + b, b + a):
+            assert got == stacked and got.pivots == stacked.pivots
+
+    @pytest.mark.parametrize("q", KERNEL_QS)
+    def test_matches_stacked_rref(self, q):
+        for seed in range(3):
+            for ra, rb in [(3, 2), (4, 4), (1, 6), (5, 3)]:
+                for deficient in (False, True):
+                    A = random_matrix(q, ra, 9, seed=seed * 31 + q, deficient=deficient)
+                    B = random_matrix(q, rb, 9, seed=seed * 37 + q + 1, deficient=deficient)
+                    self.assert_stacked(A, B)
+
+    @pytest.mark.parametrize("q", KERNEL_QS)
+    def test_zero_dimensional_operands(self, q):
+        f = field_make(q)
+        zero = SubspaceBasis.from_matrix(MatrixFq(f, np.zeros((2, 6), dtype=np.int32)))
+        a = SubspaceBasis.from_matrix(random_matrix(q, 3, 6, seed=q))
+        assert zero + a is a and a + zero is a
+        assert (zero + zero).dim == 0
+
+    @pytest.mark.parametrize("q", KERNEL_QS)
+    def test_contained_operand_returns_the_larger_basis(self, q):
+        f = field_make(q)
+        rng = np.random.default_rng(q + 3)
+        a = SubspaceBasis.from_matrix(random_matrix(q, 4, 8, seed=q + 4))
+        coeffs = rng.integers(0, q, size=(3, a.dim)).astype(np.int32)
+        b = SubspaceBasis.from_matrix(MatrixFq(f, ref_matmul(f, coeffs, a.matrix.a)))
+        assert a + b is a and b + a is a
+        assert a + a is a
+
+    @pytest.mark.parametrize("q", KERNEL_QS)
+    def test_sum_is_whole_space(self, q):
+        # The unit vectors of the free columns complete any basis.
+        f = field_make(q)
+        a = SubspaceBasis.from_matrix(random_matrix(q, 5, 8, seed=q + 5, deficient=True))
+        free = [c for c in range(8) if c not in a.pivots]
+        units = MatrixFq(f, np.eye(8, dtype=np.int32)[free])
+        whole = a + SubspaceBasis.from_matrix(units)
+        assert whole.pivots == tuple(range(8))
+        assert np.array_equal(whole.matrix.a, np.eye(8, dtype=np.int32))
+        self.assert_stacked(a.matrix, units)
+        self.assert_stacked(MatrixFq(f, np.eye(8, dtype=np.int32)), a.matrix)
+
+    def test_mismatches_raise(self):
+        a = SubspaceBasis.from_matrix(MatrixFq(field_make(3), [[1, 2]]))
+        with pytest.raises(FieldMismatch):
+            a + SubspaceBasis.from_matrix(MatrixFq(field_make(5), [[1, 2]]))
+        with pytest.raises(DimensionMismatch):
+            a + SubspaceBasis.from_matrix(MatrixFq(field_make(3), [[1, 2, 0]]))
+
+
+class TestComplementCache:
+    @pytest.mark.parametrize("q", [2, 3, 9])
+    def test_second_call_returns_the_same_object(self, q):
+        a = SubspaceBasis.from_matrix(random_matrix(q, 3, 7, seed=q))
+        comp = a.complement()
+        assert a.complement() is comp
+        # (V^⊥)^⊥ = V, so the complement's complement is the original.
+        assert comp.complement() is a
+        assert SubspaceBasis.from_matrix(comp.matrix).complement() == a
