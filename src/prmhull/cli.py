@@ -10,10 +10,11 @@ Subcommands:
     sweep       formula cross-validation over a parameter grid
     selftest    embedded end-to-end checks
 
-Exit codes: 0 success/agreement, 1 internal failure, 2 theorem
-disagreement, 3 budget exceeded, 64 usage error. Every command is
-deterministic given its flags; worker count never changes the data
-payload, and progress/timing chatter goes to stderr only.
+Exit codes: 0 success/agreement, 1 internal failure or a matrix too
+large to allocate (MemoryError), 2 theorem disagreement, 3 budget
+exceeded, 64 usage error. Every command is deterministic given its
+flags; worker count never changes the data payload, and progress/timing
+chatter goes to stderr only.
 """
 
 from __future__ import annotations
@@ -795,7 +796,9 @@ def main(argv=None) -> int:
     except (NotPrimePower, OutOfRange) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except PrmHullError as exc:
+    except (PrmHullError, MemoryError) as exc:
+        # A dense matrix too large to allocate is a limit of the input, not
+        # a bug: one line, with numpy's message giving the shape.
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except Exception:  # noqa: BLE001 - map anything unexpected to exit 1

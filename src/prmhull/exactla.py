@@ -5,12 +5,16 @@ field. Row reduction picks pivots deterministically (first nonzero entry
 scanning top to bottom in the leftmost unresolved column) and runs one
 of two elimination kernels:
 
-* p odd, e = 2: the matrix is held as two digit planes with reduction
-  mod p deferred until a column or row is actually inspected, keeping
-  the inner update to a handful of int16 SIMD operations per cell;
+* p odd at most 31, e = 2: the matrix is held as two digit planes with
+  reduction mod p deferred until a column or row is actually inspected,
+  keeping the inner update to a handful of int16 SIMD operations per cell;
 * every other field: at each pivot the distinct multiples of the pivot
-  row are formed once with the field's vectorized ops, and each row is
-  updated by one lookup into them and one subtraction.
+  row are formed once with the field's vectorized ops, and each active
+  row is updated by one lookup into them and one subtraction.
+
+Only the active rows, with a nonzero pivot-column entry, change. Both
+kernels gather them when they are fewer than half the rows, and update
+the whole trailing block in place otherwise.
 
 The RREF of a row space is unique, so both kernels give the same output
 (cross-checked in tests). The digit-plane kernel exists because the
@@ -130,7 +134,8 @@ class SubspaceBasis:
         Row i of the free-column basis has a 1 in the i-th non-pivot
         column, zeros in the other non-pivot columns, and minus that
         column of the RREF in the pivot columns. It is reduced only in
-        reversed column order, so it is row-reduced once more.
+        reversed column order, so it is row-reduced once more, unless it
+        is the identity (this basis is 0) or has no rows.
 
         The result is cached on this instance, and this instance on the
         result, since (V^⊥)^⊥ = V: a second call, or the complement of
@@ -142,9 +147,11 @@ class SubspaceBasis:
             free = [c for c in range(self.ambient) if c not in pivots]
             basis = np.zeros((len(free), self.ambient), dtype=np.int32)
             basis[np.arange(len(free)), free] = 1
-            if self.dim:
+            if self.dim and free:
                 basis[:, list(self.pivots)] = f.vneg(self.matrix.a[:, free].T)
-            comp = SubspaceBasis.from_matrix(MatrixFq(f, basis))
+                comp = SubspaceBasis.from_matrix(MatrixFq(f, basis))
+            else:
+                comp = SubspaceBasis(MatrixFq(f, basis), tuple(free))
             comp._complement = self
             self._complement = comp
         return self._complement
@@ -211,16 +218,18 @@ def _reduce_by(V: np.ndarray, basis: SubspaceBasis) -> np.ndarray:
 
 
 def _rref_digit2(field: Field, M: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
-    """RREF kernel for p odd, e = 2, with lazy reduction on digit planes.
+    """RREF kernel for 2 < p <= 31, e = 2, with lazy reduction on digit planes.
 
     With modulus constants x^2 = alpha*x + beta, the rank-1 elimination
     update on the (lo, hi) digit planes is
 
-        lo -= f0*r0 + beta*(f1*r1),   hi -= f0*r1 + f1*r0 + alpha*(f1*r1),
+        lo -= f0*r0 + f1*(beta*r1),   hi -= f0*r1 + f1*(r0 + alpha*r1),
 
     where only the pivot row and pivot column are canonicalized mod p.
+    Each product goes into one reused buffer, for the active rows only
+    (f0 or f1 nonzero), gathered when they are fewer than half the rows.
     Increments per pivot are bounded, so planes stay within int16 between
-    periodic reductions of the active block.
+    periodic reductions of the trailing block.
     """
     rows, cols = M.shape
     p = field.p
@@ -232,6 +241,7 @@ def _rref_digit2(field: Field, M: np.ndarray) -> tuple[np.ndarray, tuple[int, ..
     inv = [0] + [field.inv(v) for v in range(1, field.q)]
     lo = (M % p).astype(np.int16)
     hi = (M // p).astype(np.int16)
+    buf = np.empty(lo.size, dtype=np.int16)
     pivots = []
     r = 0
     since_reduce = 0
@@ -258,13 +268,25 @@ def _rref_digit2(field: Field, M: np.ndarray) -> tuple[np.ndarray, tuple[int, ..
             r0, r1 = t0, t1
         lo[r, c:] = r0
         hi[r, c:] = r1
+        # Both digits are tested: an element a*x has lo digit 0.
         f0 = lo[:, c].copy()
         f1 = hi[:, c].copy()
         f0[r] = 0
         f1[r] = 0
-        fr = f1[:, None]
-        lo[:, c:] -= f0[:, None] * r0[None, :] + beta * (fr * r1[None, :])
-        hi[:, c:] -= f0[:, None] * r1[None, :] + fr * r0[None, :] + alpha * (fr * r1[None, :])
+        act = np.flatnonzero(f0 | f1)
+        if act.size:
+            gather = 2 * act.size < rows
+            sel = act if gather else slice(None)
+            f0, f1 = f0[sel, None], f1[sel, None]
+            L, H = lo[sel, c:], hi[sel, c:]
+            prod = buf[: f0.size * (cols - c)].reshape(f0.size, cols - c)
+            terms = ((L, f0, r0), (L, f1, beta * r1), (H, f0, r1), (H, f1, r0 + alpha * r1))
+            for plane, f, row in terms:
+                np.multiply(f, row, out=prod)
+                plane -= prod
+            if gather:
+                lo[act, c:] = L
+                hi[act, c:] = H
         since_reduce += 1
         if since_reduce >= interval:
             lo[:, c:] %= p
@@ -283,8 +305,9 @@ def _rref_multiples(field: Field, M: np.ndarray) -> tuple[np.ndarray, tuple[int,
     """RREF kernel for any field, written in the field's vectorized ops.
 
     At each pivot the distinct multiples of the pivot row are computed
-    once, one per distinct entry of the pivot column, so the update of
-    every row is a lookup into that small table and one subtraction.
+    once, one per distinct pivot-column entry, so the update of each
+    active row is a lookup into that small table and one subtraction;
+    the active rows are gathered when they are fewer than half the rows.
     This is the one-row case of the M4RI table of pivot-row multiples.
     """
     rows, cols = M.shape
@@ -304,13 +327,17 @@ def _rref_multiples(field: Field, M: np.ndarray) -> tuple[np.ndarray, tuple[int,
             M[r, c:] = field.vscale(field.inv(piv), M[r, c:])
         f = M[:, c].copy()
         f[r] = 0
-        # Distinct entries by sort and compare: np.unique(f) (numpy 2.4)
-        # imports numpy.ma, about 40 ms, on its first call in a process.
-        s = np.sort(f)
-        vals = s[np.concatenate(([True], s[1:] != s[:-1]))]
-        which = np.searchsorted(vals, f)
-        mult = field.vmul(vals[:, None], M[r, c:][None, :])
-        M[:, c:] = field.vsub(M[:, c:], mult[which])
+        act = np.flatnonzero(f)
+        if act.size:
+            sel = act if 2 * act.size < rows else slice(None)
+            fs = f[sel]
+            # Distinct entries by sort and compare: np.unique(f) (numpy 2.4)
+            # imports numpy.ma, about 40 ms, on its first call in a process.
+            s = np.sort(fs)
+            vals = s[np.concatenate(([True], s[1:] != s[:-1]))]
+            which = np.searchsorted(vals, fs)
+            mult = field.vmul(vals[:, None], M[r, c:][None, :])
+            M[sel, c:] = field.vsub(M[sel, c:], mult[which])
         pivots.append(c)
         r += 1
     return M, tuple(pivots)
@@ -321,7 +348,8 @@ def _rref_array(field: Field, A: np.ndarray) -> tuple[np.ndarray, tuple[int, ...
     M = A.astype(np.int32, copy=True)
     if M.shape[0] == 0 or M.shape[1] == 0:
         return M, ()
-    if field.p != 2 and field.e == 2:
+    # One pivot adds up to (p-1)^2 (p+1) to a digit: int16 holds it for p <= 31.
+    if field.e == 2 and 2 < field.p <= 31:
         return _rref_digit2(field, M)
     return _rref_multiples(field, M)
 

@@ -572,3 +572,17 @@ def test_internal_failure_exits_1(capsys, monkeypatch):
     code, _, err = run(["classify", "--n", "1", "--k", "1", "--q", "3"], capsys)
     assert code == EXIT_INTERNAL
     assert "synthetic failure" in err
+
+
+def test_memory_error_is_one_line_and_exits_1(capsys, monkeypatch):
+    # A dense matrix too large to allocate (the dual at q = 65536) raises
+    # MemoryError; the command is monkeypatched so nothing large is allocated.
+    message = "Unable to allocate 32.0 GiB for an array with shape (65536, 65537)"
+
+    def too_large(field, n, k):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "classification_report", too_large)
+    code, out, err = run(["classify", "--n", "1", "--k", "1", "--q", "3"], capsys)
+    assert code == EXIT_INTERNAL and out == ""
+    assert err == f"error: MemoryError: {message}\n"

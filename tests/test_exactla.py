@@ -20,6 +20,7 @@ from prmhull.exactla import (
 )
 from prmhull.code import code_from_rows, hull
 from prmhull.field import field_make
+from prmhull.prm import prm_code
 
 from oracles import ref_matmul, ref_orthogonal, ref_rowspace, ref_rref
 
@@ -39,6 +40,21 @@ def random_matrix(q, rows, cols, seed, deficient=False):
         M[rows // 2] = M[0]
         M[-1] = 0
     return MatrixFq(field_make(q), M)
+
+
+def sparse_matrix(q, rows, cols, seed, density=0.15):
+    """Random entries, each nonzero with probability about `density`."""
+    rng = np.random.default_rng(seed)
+    M = rng.integers(1, q, size=(rows, cols))
+    M[rng.random((rows, cols)) >= density] = 0
+    return M.astype(np.int32)
+
+
+def assert_rref_matches_reference(f, M, label=None):
+    R, pivots, r = rref(MatrixFq(f, M))
+    R_ref, pivots_ref = ref_rref(f, M)
+    assert np.array_equal(R.a, R_ref), label
+    assert pivots == pivots_ref and r == len(pivots_ref), label
 
 
 class TestRref:
@@ -76,10 +92,11 @@ class TestRref:
     def test_digit_plane_kernel_matches_multiples_kernel(self, q):
         # The multiples kernel works over any field, so it is the reference
         # at a size where ref_rref is too slow. A 60x40 by 40x120 product
-        # has rank at most 40, so most columns carry no pivot.
+        # has rank at most 40, so most columns carry no pivot; the sparse
+        # 150x200 matrix has few active rows at most pivots.
         f = field_make(q)
         rng = np.random.default_rng(q)
-        for _ in range(3):
+        for seed in range(3):
             A = rng.integers(0, q, size=(60, 40)).astype(np.int32)
             B = rng.integers(0, q, size=(40, 120)).astype(np.int32)
             M = exactla._mat_mul_arrays(f, A, B)
@@ -87,6 +104,108 @@ class TestRref:
             R_ref, pivots_ref = exactla._rref_multiples(f, M.copy())
             assert np.array_equal(R, R_ref) and pivots == pivots_ref
             assert len(pivots) <= 40
+            S = sparse_matrix(q, 150, 200, seed=q + seed, density=0.03)
+            R, pivots = exactla._rref_digit2(f, S.copy())
+            R_ref, pivots_ref = exactla._rref_multiples(f, S.copy())
+            assert np.array_equal(R, R_ref) and pivots == pivots_ref
+
+    # Both kernels update only the rows with a nonzero pivot-column entry,
+    # gathered when they are fewer than half the rows. Dense random
+    # matrices make almost every row active, so the cases below are
+    # sparse or structured, where a wrong skip would show.
+
+    @pytest.mark.parametrize("q", KERNEL_QS)
+    def test_sparse_matches_reference(self, q):
+        f = field_make(q)
+        for seed, shape in enumerate([(12, 16), (16, 12), (20, 20)]):
+            assert_rref_matches_reference(f, sparse_matrix(q, *shape, seed=seed + q), (q, shape))
+
+    @pytest.mark.parametrize("q", KERNEL_QS)
+    def test_permuted_block_diagonal_matches_reference(self, q):
+        f = field_make(q)
+        rng = np.random.default_rng(q + 2)
+        M = np.zeros((14, 17), dtype=np.int32)
+        r0 = c0 = 0
+        for r, c in [(3, 4), (5, 3), (2, 6), (4, 4)]:
+            M[r0 : r0 + r, c0 : c0 + c] = rng.integers(0, q, size=(r, c))
+            r0, c0 = r0 + r, c0 + c
+        M = M[rng.permutation(14)][:, rng.permutation(17)]
+        assert_rref_matches_reference(f, M)
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27])
+    def test_prm_generator_and_gram_match_reference(self, q):
+        # A PRM generator and its G G^T are structured, with sparse pivot
+        # columns late in the reduction; a Gram matrix is often nearly 0.
+        f = field_make(q)
+        n, k = (2, q - 1) if q <= 5 else (1, q // 2)
+        C = prm_code(f, n, k)
+        assert_rref_matches_reference(f, C.G.a, "generator")
+        assert_rref_matches_reference(f, C.gram().a, "gram")
+
+    @pytest.mark.parametrize("q", KERNEL_QS)
+    def test_active_fraction_crossing_one_half(self, q, monkeypatch):
+        # Every row is a multiple of the dense row 0 plus a sparse
+        # block-diagonal row that is zero in column 0. The first pivot
+        # updates every row in place; after it the rows are sparse and
+        # gathered, and row 0 is active above the pivot row.
+        f = field_make(q)
+        rng = np.random.default_rng(q + 9)
+        rows, cols = 16, 24
+        W = np.zeros((rows, cols), dtype=np.int32)
+        for b in range(3):
+            W[1 + 5 * b : 6 + 5 * b, 1 + 7 * b : 8 + 7 * b] = rng.integers(0, q, size=(5, 7))
+        W[rng.random((rows, cols)) >= 0.5] = 0
+        row0 = rng.integers(1, q, size=cols).astype(np.int32)
+        scale = rng.integers(1, q, size=rows).astype(np.int32)
+        M = f.vadd(f.vmul(scale[:, None], row0[None, :]), W)
+        fractions = []
+        real_flatnonzero = np.flatnonzero
+
+        def spy(x):
+            out = real_flatnonzero(x)
+            fractions.append(out.size / rows)
+            return out
+
+        monkeypatch.setattr(np, "flatnonzero", spy)
+        R, pivots, r = rref(MatrixFq(f, M))
+        monkeypatch.undo()
+        assert max(fractions) >= 0.5 and 0 < min(fractions) < 0.5
+        R_ref, pivots_ref = ref_rref(f, M)
+        assert np.array_equal(R.a, R_ref) and pivots == pivots_ref
+
+    @pytest.mark.parametrize("q", [9, 25, 49])
+    def test_pivot_columns_of_multiples_of_p(self, q):
+        # An entry a*p is the element a*x, whose lo digit is 0: a row is
+        # active when either digit of its pivot-column entry is nonzero.
+        f = field_make(q)
+        p = f.p
+        rng = np.random.default_rng(q + 4)
+        for seed in range(3):
+            M = sparse_matrix(p, 12, 16, seed=q + seed, density=0.3) * p
+            M[:, 5:] = f.vadd(M[:, 5:], sparse_matrix(q, 12, 11, seed=q - seed))
+            assert_rref_matches_reference(f, M, seed)
+            assert_rref_matches_reference(f, M[rng.permutation(12)], seed)
+
+    @pytest.mark.parametrize("q", KERNEL_QS)
+    def test_active_rows_above_the_pivot_row(self, q):
+        # An upper-triangular matrix with a nonzero diagonal reduces to
+        # the identity, and every update is to a row above the pivot row.
+        f = field_make(q)
+        rng = np.random.default_rng(q + 6)
+        M = np.triu(sparse_matrix(q, 12, 12, seed=q, density=0.4))
+        M[np.arange(12), np.arange(12)] = rng.integers(1, q, size=12)
+        R, pivots, r = rref(MatrixFq(f, M))
+        assert np.array_equal(R.a, np.eye(12, dtype=np.int32)) and pivots == tuple(range(12))
+        assert_rref_matches_reference(f, np.hstack([M, sparse_matrix(q, 12, 5, seed=q + 1)]))
+
+    @pytest.mark.parametrize("q", [37 * 37, 41 * 41])
+    def test_fields_beyond_the_int16_digit_planes(self, q):
+        # At p = 37 one pivot's increments overflow int16 digit planes,
+        # so such fields are row-reduced by the multiples kernel.
+        f = field_make(q)
+        for seed in range(2):
+            assert_rref_matches_reference(f, random_matrix(q, 6, 9, seed=seed).a, seed)
+            assert_rref_matches_reference(f, sparse_matrix(q, 9, 6, seed=seed), seed)
 
     @pytest.mark.parametrize("q", KERNEL_QS)
     def test_rank_equals_rank_of_transpose(self, q):
@@ -422,6 +541,31 @@ class TestSum:
 
 
 class TestComplementCache:
+    @pytest.mark.parametrize("q", [2, 5, 9])
+    def test_canonical_free_column_bases_are_not_reduced(self, q, monkeypatch):
+        # The complement of the zero space is the identity and that of the
+        # whole space has no rows; both are built without a reduction.
+        f = field_make(q)
+        calls = []
+        real = exactla._rref_array
+
+        def spy(field, A):
+            calls.append(A.shape)
+            return real(field, A)
+
+        zero = SubspaceBasis.from_matrix(MatrixFq(f, np.zeros((2, 6), dtype=np.int32)))
+        whole = SubspaceBasis.from_matrix(MatrixFq(f, np.triu(np.ones((6, 6), dtype=np.int32))))
+        assert whole.dim == 6
+        monkeypatch.setattr(exactla, "_rref_array", spy)
+        everything, nothing = zero.complement(), whole.complement()
+        assert calls == []
+        monkeypatch.undo()
+        assert everything.complement() is zero and nothing.complement() is whole
+        for got in (everything, nothing):
+            again = SubspaceBasis.from_matrix(got.matrix)
+            assert got == again and got.pivots == again.pivots
+        assert everything.pivots == tuple(range(6)) and nothing.dim == 0
+
     @pytest.mark.parametrize("q", [2, 3, 9])
     def test_second_call_returns_the_same_object(self, q):
         a = SubspaceBasis.from_matrix(random_matrix(q, 3, 7, seed=q))
