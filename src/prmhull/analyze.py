@@ -396,6 +396,11 @@ def _check_budget(C: LinearCode, budget: int) -> int:
     return total
 
 
+def _check_workers(workers: int) -> None:
+    if workers < 1:
+        raise OutOfRange(f"workers must be >= 1; got {workers}")
+
+
 def _scan_parallel(C: LinearCode, target_w, workers: int, stop_at=None):
     """(A_0..A_N, weight-target_w supports) from one word per scalar class.
 
@@ -450,8 +455,10 @@ def weight_distribution(
             worker count.
 
     Raises:
+        OutOfRange: if workers < 1.
         BudgetExceeded: if q^K > budget.
     """
+    _check_workers(workers)
     total = _check_budget(C, budget)
     counts, _ = _scan_parallel(C, None, workers)
     if int(counts.sum()) != total:
@@ -517,8 +524,10 @@ def weight_distribution_with_supports(
         (WeightDistribution, BlockFamily) pair.
 
     Raises:
+        OutOfRange: if workers < 1 or w is not in 1..N.
         BudgetExceeded: if q^K > budget.
     """
+    _check_workers(workers)
     total = _check_budget(C, budget)
     if not 0 < w <= C.N:
         raise OutOfRange(f"weight must be in 1..{C.N}; got {w}")

@@ -105,6 +105,21 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _at_least(low: int):
+    """An argparse type: an integer of at least `low`, else a usage error."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}; got {value}")
+        return value
+
+    return parse
+
+
 def _parse_int_list(text: str, flag: str) -> tuple[int, ...]:
     items = [piece.strip() for piece in text.split(",") if piece.strip()]
     if not items:
@@ -678,7 +693,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="largest q^K an enumeration may cover",
     )
     enum.add_argument(
-        "--workers", type=int, default=1, help="process count for enumerations"
+        "--workers", type=_at_least(1), default=1, help="process count for enumerations"
     )
 
     point = argparse.ArgumentParser(add_help=False)
@@ -748,7 +763,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--w", type=int, default=None, help="codeword weight (default: formula distance)"
     )
-    p.add_argument("--t", type=int, default=2, help="design strength t")
+    p.add_argument("--t", type=_at_least(1), default=2, help="design strength t")
     p.set_defaults(func=cmd_design)
 
     p = sub.add_parser(
@@ -761,7 +776,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="write rows to this file")
     p.add_argument(
         "--distances",
-        type=int,
+        type=_at_least(0),
         default=0,
         metavar="LIMIT",
         help="also verify min_distance == formula for codes with q^K <= LIMIT",

@@ -3,23 +3,18 @@
 Matrices are numpy int32 arrays of element indices wrapped with their
 field. Row reduction picks pivots deterministically (first nonzero entry
 scanning top to bottom in the leftmost unresolved column) and runs one
-of two elimination kernels:
+elimination loop for every field. At each pivot the distinct multiples
+of the pivot row are formed once (the one-row case of the M4RI table of
+pivot-row multiples), and each active row, with a nonzero
+pivot-column entry, is updated by a lookup into them and one
+subtraction: the active rows are gathered when they are fewer than half
+the rows, and the whole trailing block is updated in place otherwise.
 
-* p odd at most 31, e = 2: the matrix is held as two digit planes with
-  reduction mod p deferred until a column or row is actually inspected,
-  keeping the inner update to a handful of int16 SIMD operations per cell;
-* every other field: at each pivot the distinct multiples of the pivot
-  row are formed once with the field's vectorized ops, and each active
-  row is updated by one lookup into them and one subtraction.
-
-Only the active rows, with a nonzero pivot-column entry, change. Both
-kernels gather them when they are fewer than half the rows, and update
-the whole trailing block in place otherwise.
-
-The RREF of a row space is unique, so both kernels give the same output
-(cross-checked in tests). The digit-plane kernel exists because the
-formula-validation sweep row-reduces codes up to [820, 410] over GF(9),
-where the digitwise generic subtraction is about eight times slower.
+Subtraction is made cheap by how the matrix is held. Over characteristic
+2 it stays as indices and subtracts by XOR. Otherwise each entry is held
+as its base-p digits, subtracted without reduction and reduced mod p
+only when a pivot column or row is read and every so many pivots, before
+any digit can leave its int16 (p < 256) or int32 range.
 
 Elimination is avoided wherever a canonical basis is already known. The
 sum of two canonical bases reduces only the rows the smaller one adds to
@@ -214,144 +209,81 @@ def _reduce_by(V: np.ndarray, basis: SubspaceBasis) -> np.ndarray:
     return mat_mul(coeffs, basis.matrix).a
 
 
-# -- row reduction kernels --------------------------------------------------
+# -- row reduction ------------------------------------------------------------
 
 
-def _rref_digit2(field: Field, M: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
-    """RREF kernel for 2 < p <= 31, e = 2, with lazy reduction on digit planes.
+def _rref_array(field: Field, A: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Row-reduce a copy of A; returns (RREF array, pivot columns).
 
-    With modulus constants x^2 = alpha*x + beta, the rank-1 elimination
-    update on the (lo, hi) digit planes is
-
-        lo -= f0*r0 + f1*(beta*r1),   hi -= f0*r1 + f1*(r0 + alpha*r1),
-
-    where only the pivot row and pivot column are canonicalized mod p.
-    Each product goes into one reused buffer, for the active rows only
-    (f0 or f1 nonzero), gathered when they are fewer than half the rows.
-    Increments per pivot are bounded, so planes stay within int16 between
-    periodic reductions of the trailing block.
+    The one elimination loop of this module. D holds each entry's digits,
+    rows x cols x digits; over characteristic 2 its one digit is the
+    index itself. A digit loses at most p - 1 per pivot, so the trailing
+    block is reduced every `interval` pivots, before any digit can leave
+    its dtype: int16 for digits below 256, which keeps the interval at
+    least 128 pivots, and int32 otherwise. An all-zero A returns at once.
     """
-    rows, cols = M.shape
-    p = field.p
-    c0, c1, _ = field.modulus
-    alpha = (-c1) % p
-    beta = (-c0) % p
-    step = (p - 1) * (p - 1) * (2 + max(alpha, beta))
-    interval = max(1, 30000 // step)
-    inv = [0] + [field.inv(v) for v in range(1, field.q)]
-    lo = (M % p).astype(np.int16)
-    hi = (M // p).astype(np.int16)
-    buf = np.empty(lo.size, dtype=np.int16)
+    M = A.astype(np.int32, copy=True)
+    if not M.any():
+        return M, ()
+    p, rows, cols = field.p, *M.shape
+    lazy = p > 2
+    base = p if lazy else field.q
+    w = np.array(field._powers_of_p if lazy else (1,), dtype=np.int32)
+    dtype = np.int16 if base <= 256 else np.int32
+    interval = np.iinfo(dtype).max // (p - 1)
+    sub = np.subtract if lazy else np.bitwise_xor
+    table = (np.arange(field.q, dtype=np.int32)[:, None] // w % base).astype(dtype)
+
+    def digits(x: np.ndarray) -> np.ndarray:
+        """Indices as digit vectors; a one-digit index is its own digit."""
+        return table.take(x, axis=0) if w.size > 1 else x[..., None].astype(dtype, copy=False)
+
+    D = digits(M)  # rows x cols x digits
     pivots = []
-    r = 0
-    since_reduce = 0
+    r = since_reduce = 0
     for c in range(cols):
         if r >= rows:
             break
-        lo[:, c] %= p
-        hi[:, c] %= p
-        nz = np.nonzero(lo[r:, c] | hi[r:, c])[0]
+        if lazy:
+            D[:, c] %= p
+        f = D[:, c] @ w
+        nz = np.nonzero(f[r:])[0]
         if nz.size == 0:
             continue
         i = int(nz[0]) + r
         if i != r:
-            lo[[r, i]] = lo[[i, r]]
-            hi[[r, i]] = hi[[i, r]]
-        r0 = lo[r, c:] % p
-        r1 = hi[r, c:] % p
-        piv = int(r0[0]) + p * int(r1[0])
-        if piv != 1:
-            g = inv[piv]
-            g0, g1 = g % p, g // p
-            t0 = (g0 * r0 + beta * (g1 * r1)) % p
-            t1 = (g0 * r1 + g1 * r0 + alpha * (g1 * r1)) % p
-            r0, r1 = t0, t1
-        lo[r, c:] = r0
-        hi[r, c:] = r1
-        # Both digits are tested: an element a*x has lo digit 0.
-        f0 = lo[:, c].copy()
-        f1 = hi[:, c].copy()
-        f0[r] = 0
-        f1[r] = 0
-        act = np.flatnonzero(f0 | f1)
-        if act.size:
-            gather = 2 * act.size < rows
-            sel = act if gather else slice(None)
-            f0, f1 = f0[sel, None], f1[sel, None]
-            L, H = lo[sel, c:], hi[sel, c:]
-            prod = buf[: f0.size * (cols - c)].reshape(f0.size, cols - c)
-            terms = ((L, f0, r0), (L, f1, beta * r1), (H, f0, r1), (H, f1, r0 + alpha * r1))
-            for plane, f, row in terms:
-                np.multiply(f, row, out=prod)
-                plane -= prod
-            if gather:
-                lo[act, c:] = L
-                hi[act, c:] = H
-        since_reduce += 1
-        if since_reduce >= interval:
-            lo[:, c:] %= p
-            hi[:, c:] %= p
-            since_reduce = 0
-        pivots.append(c)
-        r += 1
-    lo %= p
-    hi %= p
-    out = lo.astype(np.int32) + p * hi.astype(np.int32)
-    np.copyto(M, out)
-    return M, tuple(pivots)
-
-
-def _rref_multiples(field: Field, M: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
-    """RREF kernel for any field, written in the field's vectorized ops.
-
-    At each pivot the distinct multiples of the pivot row are computed
-    once, one per distinct pivot-column entry, so the update of each
-    active row is a lookup into that small table and one subtraction;
-    the active rows are gathered when they are fewer than half the rows.
-    This is the one-row case of the M4RI table of pivot-row multiples.
-    """
-    rows, cols = M.shape
-    pivots = []
-    r = 0
-    for c in range(cols):
-        if r >= rows:
-            break
-        nz = np.nonzero(M[r:, c])[0]
-        if nz.size == 0:
-            continue
-        i = int(nz[0]) + r
-        if i != r:
-            M[[r, i]] = M[[i, r]]
-        piv = int(M[r, c])
-        if piv != 1:
-            M[r, c:] = field.vscale(field.inv(piv), M[r, c:])
-        f = M[:, c].copy()
+            D[[r, i]] = D[[i, r]]
+            f[[r, i]] = f[[i, r]]
+        if lazy:
+            D[r, c:] %= p
+        row = D[r, c:] @ w
+        if row[0] != 1:
+            row = field.vscale(field.inv(int(row[0])), row)
+            D[r, c:] = digits(row)
         f[r] = 0
         act = np.flatnonzero(f)
         if act.size:
-            sel = act if 2 * act.size < rows else slice(None)
+            gather = 2 * act.size < rows
+            sel = act if gather else slice(None)
             fs = f[sel]
             # Distinct entries by sort and compare: np.unique(f) (numpy 2.4)
             # imports numpy.ma, about 40 ms, on its first call in a process.
             s = np.sort(fs)
             vals = s[np.concatenate(([True], s[1:] != s[:-1]))]
-            which = np.searchsorted(vals, fs)
-            mult = field.vmul(vals[:, None], M[r, c:][None, :])
-            M[sel, c:] = field.vsub(M[sel, c:], mult[which])
+            mult = digits(field.vmul(vals[:, None], row[None, :]))
+            block = D[sel, c:]
+            sub(block, mult.take(np.searchsorted(vals, fs), axis=0), out=block)
+            if gather:
+                D[act, c:] = block
         pivots.append(c)
         r += 1
-    return M, tuple(pivots)
-
-
-def _rref_array(field: Field, A: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Row-reduce a copy of A; returns (RREF array, pivot columns)."""
-    M = A.astype(np.int32, copy=True)
-    if M.shape[0] == 0 or M.shape[1] == 0:
-        return M, ()
-    # One pivot adds up to (p-1)^2 (p+1) to a digit: int16 holds it for p <= 31.
-    if field.e == 2 and 2 < field.p <= 31:
-        return _rref_digit2(field, M)
-    return _rref_multiples(field, M)
+        since_reduce += 1
+        if lazy and since_reduce == interval:
+            D[:, c + 1 :] %= p
+            since_reduce = 0
+    if lazy:
+        D %= p
+    return D @ w, tuple(pivots)
 
 
 def rref(M: MatrixFq) -> tuple[MatrixFq, tuple[int, ...], int]:

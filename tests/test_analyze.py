@@ -169,6 +169,23 @@ def test_pieces_cover_each_scalar_class_once(q, K, workers):
     assert sorted(seen) == leading_one
 
 
+@pytest.mark.parametrize("workers", [0, -1])
+def test_worker_counts_below_one_raise_before_any_work(workers, monkeypatch):
+    # The worker count is checked before the budget and before any scan;
+    # -1 once made _pieces loop forever, and 0 divided by zero.
+    def scan(*args):
+        raise AssertionError("scanned")
+
+    monkeypatch.setattr(analyze, "_scan_parallel", scan)
+    C = prm_code(field_make(3), 1, 1)
+    with pytest.raises(OutOfRange, match="workers"):
+        weight_distribution(C, budget=1, workers=workers)
+    with pytest.raises(OutOfRange, match="workers"):
+        analyze.weight_distribution_with_supports(C, 3, budget=1, workers=workers)
+    with pytest.raises(OutOfRange, match="workers"):
+        min_weight_supports(C, 3, workers=workers)
+
+
 def test_pieces_balance_two_workers():
     # The 17-row F_3 scan on two workers: pieces handed out largest first
     # keep the busier worker within 5% of an even split.

@@ -247,6 +247,18 @@ def test_removed_flags_are_usage_errors(capsys):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_worker_counts_below_one_are_usage_errors(workers, capsys):
+    for argv in (
+        ["wenum", "--n", "1", "--k", "1", "--q", "3"],
+        ["design", "--n", "1", "--k", "1", "--q", "3"],
+        ["selftest"],
+    ):
+        code, out, err = run(argv + ["--workers", workers], capsys)
+        assert code == EXIT_USAGE and out == "", argv
+        assert "--workers: must be at least 1" in err, argv
+
+
 def test_wenum_budget_exceeded_exits_3(capsys):
     code, _, err = run(
         ["wenum", "--n", "2", "--k", "2", "--q", "5", "--budget", "100"], capsys
@@ -377,6 +389,19 @@ def test_design_tetracode_is_1_design(capsys):
     assert "1-(4, 3, 3)" in out
 
 
+def test_design_t_is_checked_before_the_scan(capsys, monkeypatch):
+    def scan(*args, **kwargs):
+        raise AssertionError("scanned")
+
+    monkeypatch.setattr(cli, "weight_distribution_with_supports", scan)
+    for t in ("0", "-2"):
+        code, out, err = run(
+            ["design", "--n", "1", "--k", "1", "--q", "3", "--t", t], capsys
+        )
+        assert code == EXIT_USAGE and out == "", t
+        assert "--t: must be at least 1" in err, t
+
+
 def test_design_below_distance_not_a_design(capsys):
     code, out, _ = run(
         ["design", "--n", "1", "--k", "1", "--q", "3", "--w", "2", "--t", "1"],
@@ -446,6 +471,18 @@ def test_sweep_distance_verification(capsys):
         else:
             assert row["min_distance"] is None
     assert measured == 5  # K = 2, 3, 3, 6, 10 fit under the limit; K = 12 does not
+
+
+def test_sweep_negative_distances_is_a_usage_error(capsys):
+    # LIMIT 0 keeps distance checks off, as when the flag is absent.
+    argv = ["sweep", "--n", "1", "--q", "2", "--json"]
+    code, out, err = run(argv + ["--distances", "-5"], capsys)
+    assert code == EXIT_USAGE and out == ""
+    assert "--distances: must be at least 0" in err
+    code_off, out_off, _ = run(argv + ["--distances", "0"], capsys)
+    code_default, out_default, _ = run(argv, capsys)
+    assert code_off == code_default == EXIT_OK and out_off == out_default
+    assert all(row["min_distance"] is None for row in json.loads(out_off)["rows"])
 
 
 def test_sweep_out_file(tmp_path, capsys):

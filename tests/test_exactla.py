@@ -50,6 +50,34 @@ def sparse_matrix(q, rows, cols, seed, density=0.15):
     return M.astype(np.int32)
 
 
+def known_rref_product(q, rows, rank, cols, seed):
+    """(field, M, RREF(M), pivots) with M = X·Y, built without row reduction.
+
+    Y is a random RREF of the given rank. X has full column rank: its
+    first `rank` rows are upper triangular with a nonzero diagonal before
+    the rows are shuffled. So the RREF of M is Y over rows - rank zero rows.
+    """
+    f = field_make(q)
+    rng = np.random.default_rng(seed)
+    pivots = np.sort(rng.choice(cols, rank, replace=False))
+    Y = rng.integers(0, q, size=(rank, cols)).astype(np.int32)
+    Y[np.arange(cols) < pivots[:, None]] = 0
+    Y[:, pivots] = np.eye(rank, dtype=np.int32)
+    X = rng.integers(0, q, size=(rows, rank)).astype(np.int32)
+    X[:rank] = np.triu(X[:rank])
+    X[np.arange(rank), np.arange(rank)] = rng.integers(1, q, size=rank)
+    M = exactla._mat_mul_arrays(f, X[rng.permutation(rows)], Y)
+    R = np.zeros((rows, cols), dtype=np.int32)
+    R[:rank] = Y
+    return f, M, R, tuple(int(c) for c in pivots)
+
+
+def assert_rref_is(f, M, R_expected, pivots_expected):
+    R, pivots, r = rref(MatrixFq(f, M))
+    assert np.array_equal(R.a, R_expected)
+    assert pivots == pivots_expected and r == len(pivots_expected)
+
+
 def assert_rref_matches_reference(f, M, label=None):
     R, pivots, r = rref(MatrixFq(f, M))
     R_ref, pivots_ref = ref_rref(f, M)
@@ -89,27 +117,49 @@ class TestRref:
                 assert r == len(pivots_ref)
 
     @pytest.mark.parametrize("q", [9, 25, 49])
-    def test_digit_plane_kernel_matches_multiples_kernel(self, q):
-        # The multiples kernel works over any field, so it is the reference
-        # at a size where ref_rref is too slow. A 60x40 by 40x120 product
-        # has rank at most 40, so most columns carry no pivot; the sparse
-        # 150x200 matrix has few active rows at most pivots.
-        f = field_make(q)
-        rng = np.random.default_rng(q)
+    def test_products_and_sparse_matrices_match_oracles(self, q):
+        # Sizes where ref_rref is slow: a 60x40 by 40x120 product has rank
+        # 40, so most columns carry no pivot, and its RREF is known by
+        # construction; the 3%-dense 150x200 matrix has few active rows at
+        # most pivots and is checked against ref_rref (a few seconds).
         for seed in range(3):
-            A = rng.integers(0, q, size=(60, 40)).astype(np.int32)
-            B = rng.integers(0, q, size=(40, 120)).astype(np.int32)
-            M = exactla._mat_mul_arrays(f, A, B)
-            R, pivots = exactla._rref_digit2(f, M.copy())
-            R_ref, pivots_ref = exactla._rref_multiples(f, M.copy())
-            assert np.array_equal(R, R_ref) and pivots == pivots_ref
-            assert len(pivots) <= 40
-            S = sparse_matrix(q, 150, 200, seed=q + seed, density=0.03)
-            R, pivots = exactla._rref_digit2(f, S.copy())
-            R_ref, pivots_ref = exactla._rref_multiples(f, S.copy())
-            assert np.array_equal(R, R_ref) and pivots == pivots_ref
+            f, M, R, pivots = known_rref_product(q, 60, 40, 120, seed=q + seed)
+            assert_rref_is(f, M, R, pivots)
+        f = field_make(q)
+        assert_rref_matches_reference(f, sparse_matrix(q, 150, 200, seed=q, density=0.03))
 
-    # Both kernels update only the rows with a nonzero pivot-column entry,
+    @pytest.mark.parametrize("q", [113, 113 * 113])
+    def test_int16_planes_reduced_periodically(self, q):
+        # A digit loses at most p - 1 = 112 per pivot, so int16 planes are
+        # reduced every 32767 // 112 = 292 pivots. A dense matrix of rank
+        # 600 passes that twice; unreduced, its digits would overflow
+        # after about 585 pivots.
+        f, M, R, pivots = known_rref_product(q, 610, 600, 640, seed=q)
+        assert len(pivots) > 2 * (np.iinfo(np.int16).max // (f.p - 1))
+        assert_rref_is(f, M, R, pivots)
+
+    def test_int32_planes(self):
+        # p = 257 is the smallest prime whose digits are held as int32.
+        assert_rref_is(*known_rref_product(257, 130, 120, 150, seed=257))
+
+    @pytest.mark.parametrize("q", KERNEL_QS)
+    def test_all_zero_input_returns_at_once(self, q, monkeypatch):
+        # No pivot search at all: np.nonzero is never called.
+        calls = []
+        real_nonzero = np.nonzero
+
+        def spy(x):
+            calls.append(np.shape(x))
+            return real_nonzero(x)
+
+        zero = MatrixFq(field_make(q), np.zeros((410, 410), dtype=np.int32))
+        monkeypatch.setattr(np, "nonzero", spy)
+        R, pivots, r = rref(zero)
+        monkeypatch.undo()
+        assert calls == []
+        assert R == zero and pivots == () and r == 0
+
+    # Elimination updates only the rows with a nonzero pivot-column entry,
     # gathered when they are fewer than half the rows. Dense random
     # matrices make almost every row active, so the cases below are
     # sparse or structured, where a wrong skip would show.
@@ -199,9 +249,9 @@ class TestRref:
         assert_rref_matches_reference(f, np.hstack([M, sparse_matrix(q, 12, 5, seed=q + 1)]))
 
     @pytest.mark.parametrize("q", [37 * 37, 41 * 41])
-    def test_fields_beyond_the_int16_digit_planes(self, q):
-        # At p = 37 one pivot's increments overflow int16 digit planes,
-        # so such fields are row-reduced by the multiples kernel.
+    def test_quadratic_fields_with_p_above_31(self, q):
+        # Digits of e = 2 fields with p = 37 and 41, each losing up to
+        # p - 1 per pivot in the int16 planes.
         f = field_make(q)
         for seed in range(2):
             assert_rref_matches_reference(f, random_matrix(q, 6, 9, seed=seed).a, seed)
