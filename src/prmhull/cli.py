@@ -20,6 +20,7 @@ chatter goes to stderr only.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -27,8 +28,6 @@ import sys
 import time
 import traceback
 from pathlib import Path
-
-import numpy as np
 
 from .analyze import (
     DEFAULT_BUDGET,
@@ -38,7 +37,7 @@ from .analyze import (
     weight_distribution,
     weight_distribution_with_supports,
 )
-from .code import code_from_rows, contains_vector, dual, equal_codes, hull
+from .code import code_from_rows, hull
 from .errors import (
     BudgetExceeded,
     InternalInconsistency,
@@ -54,7 +53,6 @@ from .prm import (
     NO_CLOSED_FORM,
     PrmParams,
     classification_report,
-    described_dual_code,
     dim_mr,
     dim_sorensen,
     dual_description,
@@ -64,6 +62,7 @@ from .prm import (
     min_dist_formula,
     prm_code,
     rsj_hull_dim,
+    verify_dual,
 )
 from .sweep import SweepSpec, run_sweep
 
@@ -303,13 +302,7 @@ def cmd_dual_check(args) -> int:
     field = field_make(args.q)
     desc = dual_description(args.n, args.k, args.q)
     C = prm_code(field, args.n, args.k)
-    D = dual(C)
-    E = described_dual_code(field, args.n, args.k)
-    verified = equal_codes(D, E)
-    ones_outside = None
-    if desc.adjoin_ones and desc.ell >= 1:
-        base = prm_code(field, args.n, desc.ell)
-        ones_outside = not contains_vector(base, np.ones(C.N, dtype=np.int32))
+    verified, ones_outside = verify_dual(C, prm_code(field, args.n, desc.ell))
     ok = verified and ones_outside is not False
     if args.json:
         _emit_json(
@@ -510,46 +503,40 @@ def _sweep_table_line(row: dict) -> str:
 
 
 def cmd_sweep(args) -> int:
-    k_policy: str | tuple[int, ...]
-    if args.k.strip() == "all":
-        k_policy = "all"
-    else:
-        k_policy = _parse_int_list(args.k, "--k")
+    k_policy = "all" if args.k.strip() == "all" else _parse_int_list(args.k, "--k")
     spec = SweepSpec(
         n_list=_parse_int_list(args.n, "--n"),
         q_list=_parse_int_list(args.q, "--q"),
         k_policy=k_policy,
         distance_budget=args.distances,
     )
-    rows, summary = run_sweep(spec, log=sys.stderr)
-    summary_line = (
-        f"sweep summary: points={summary['points']} agree={summary['agree']} "
-        f"disagree={summary['disagree']} no-closed-form={summary['no_closed_form']}"
-    )
-
-    if args.json:
-        text = json.dumps({"rows": rows, "summary": summary}, indent=2)
-        if args.out:
-            Path(args.out).write_text(text + "\n")
-            print(summary_line)
-        else:
-            print(text)
-    elif args.csv:
-        if args.out:
-            with open(args.out, "w", newline="") as handle:
-                writer = csv.DictWriter(handle, fieldnames=_CSV_COLUMNS)
-                writer.writeheader()
-                writer.writerows(_flatten_row(r) for r in rows)
-            print(summary_line)
-        else:
-            writer = csv.DictWriter(sys.stdout, fieldnames=_CSV_COLUMNS)
+    # opened before the first point, so a bad --out path fails at once
+    handle = None
+    if args.out and (args.json or args.csv):
+        try:
+            handle = open(args.out, "w", newline="")
+        except OSError as exc:
+            raise UsageError(f"cannot write --out file: {exc}") from exc
+    with handle or contextlib.nullcontext():
+        rows, summary = run_sweep(spec, log=sys.stderr)
+        summary_line = (
+            f"sweep summary: points={summary['points']} agree={summary['agree']} "
+            f"disagree={summary['disagree']} no-closed-form={summary['no_closed_form']}"
+        )
+        if args.json:
+            text = json.dumps({"rows": rows, "summary": summary}, indent=2)
+            print(text, file=handle or sys.stdout)
+            if handle:
+                print(summary_line)
+        elif args.csv:
+            writer = csv.DictWriter(handle or sys.stdout, fieldnames=_CSV_COLUMNS)
             writer.writeheader()
             writer.writerows(_flatten_row(r) for r in rows)
-            print(summary_line, file=sys.stderr)
-    else:
-        for row in rows:
-            print(_sweep_table_line(row))
-        print(summary_line)
+            print(summary_line, file=sys.stdout if handle else sys.stderr)
+        else:
+            for row in rows:
+                print(_sweep_table_line(row))
+            print(summary_line)
     return EXIT_OK if summary["disagree"] == 0 else EXIT_DISAGREE
 
 

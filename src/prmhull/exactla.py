@@ -12,17 +12,19 @@ the rows, and the whole trailing block is updated in place otherwise.
 
 Subtraction is made cheap by how the matrix is held. Over characteristic
 2 it stays as indices and subtracts by XOR. Otherwise each entry is held
-as its base-p digits, subtracted without reduction and reduced mod p
-only when a pivot column or row is read and every so many pivots, before
-any digit can leave its int16 (p < 256) or int32 range.
+as its base-p digits, split and joined only by the field's `digits` and
+`from_digits`, subtracted without reduction and reduced mod p only when
+a pivot column or row is read and every so many pivots, before any
+digit can leave its int16 (p < 256) or int32 range.
 
 Elimination is avoided wherever a canonical basis is already known. The
 sum of two canonical bases reduces only the rows the smaller one adds to
 the larger, after one exact product clears the larger's pivot columns,
 so the hull (C + C^⊥)^⊥ never stacks the two N-column bases; and a
 basis caches its orthogonal complement. Exact products run on float64
-BLAS over digit planes, one product per convolution digit, and reduce
-each output digit once.
+BLAS over digit planes, taken from the field's digits straight into
+float64, one product per convolution digit, and reduce each output
+digit once.
 """
 
 from __future__ import annotations
@@ -216,29 +218,32 @@ def _rref_array(field: Field, A: np.ndarray) -> tuple[np.ndarray, tuple[int, ...
     """Row-reduce a copy of A; returns (RREF array, pivot columns).
 
     The one elimination loop of this module. D holds each entry's digits,
-    rows x cols x digits; over characteristic 2 its one digit is the
-    index itself. A digit loses at most p - 1 per pivot, so the trailing
-    block is reduced every `interval` pivots, before any digit can leave
-    its dtype: int16 for digits below 256, which keeps the interval at
-    least 128 pivots, and int32 otherwise. An all-zero A returns at once.
+    rows x cols x digits, as the field splits them; over characteristic 2
+    its one digit is the index itself. A digit loses at most p - 1 per
+    pivot, so the trailing block is reduced every `interval` pivots,
+    before any digit can leave its dtype: int16 for digits below 256,
+    which keeps the interval at least 128 pivots, and int32 otherwise.
+    An all-zero A returns at once.
     """
     M = A.astype(np.int32, copy=True)
     if not M.any():
         return M, ()
     p, rows, cols = field.p, *M.shape
     lazy = p > 2
-    base = p if lazy else field.q
-    w = np.array(field._powers_of_p if lazy else (1,), dtype=np.int32)
-    dtype = np.int16 if base <= 256 else np.int32
-    interval = np.iinfo(dtype).max // (p - 1)
+    if lazy:
+        digits, join = field.digits, field.from_digits
+    else:
+        dtype = np.int16 if field.q <= 256 else np.int32
+
+        def digits(x: np.ndarray) -> np.ndarray:
+            return x[..., None].astype(dtype, copy=False)
+
+        def join(d: np.ndarray) -> np.ndarray:
+            return d[..., 0].astype(np.int32)
+
     sub = np.subtract if lazy else np.bitwise_xor
-    table = (np.arange(field.q, dtype=np.int32)[:, None] // w % base).astype(dtype)
-
-    def digits(x: np.ndarray) -> np.ndarray:
-        """Indices as digit vectors; a one-digit index is its own digit."""
-        return table.take(x, axis=0) if w.size > 1 else x[..., None].astype(dtype, copy=False)
-
     D = digits(M)  # rows x cols x digits
+    interval = np.iinfo(D.dtype).max // (p - 1)
     pivots = []
     r = since_reduce = 0
     for c in range(cols):
@@ -246,7 +251,7 @@ def _rref_array(field: Field, A: np.ndarray) -> tuple[np.ndarray, tuple[int, ...
             break
         if lazy:
             D[:, c] %= p
-        f = D[:, c] @ w
+        f = join(D[:, c])
         nz = np.nonzero(f[r:])[0]
         if nz.size == 0:
             continue
@@ -256,7 +261,7 @@ def _rref_array(field: Field, A: np.ndarray) -> tuple[np.ndarray, tuple[int, ...
             f[[r, i]] = f[[i, r]]
         if lazy:
             D[r, c:] %= p
-        row = D[r, c:] @ w
+        row = join(D[r, c:])
         if row[0] != 1:
             row = field.vscale(field.inv(int(row[0])), row)
             D[r, c:] = digits(row)
@@ -283,7 +288,7 @@ def _rref_array(field: Field, A: np.ndarray) -> tuple[np.ndarray, tuple[int, ...
             since_reduce = 0
     if lazy:
         D %= p
-    return D @ w, tuple(pivots)
+    return join(D), tuple(pivots)
 
 
 def rref(M: MatrixFq) -> tuple[MatrixFq, tuple[int, ...], int]:
@@ -336,48 +341,34 @@ def _mat_mul_arrays(field: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         raise DimensionMismatch(
             f"inner dimension {inner} too large for an exact product over GF({field.q})"
         )
-    w = np.array(field._powers_of_p, dtype=np.int32)
-    a = _digit_planes(field, A[:, None, :], w[:, None]).reshape(A.shape[0], e * inner)
+    # float64 planes in C order, so that no reshape copies them again
+    a = field.digits(A).transpose(0, 2, 1).astype(np.float64, order="C").reshape(len(A), e * inner)
 
-    def conv(b: np.ndarray, d: int) -> np.ndarray:
-        lo, hi = max(0, d - e + 1), min(d, e - 1)
-        return a[:, lo * inner : (hi + 1) * inner] @ b[(e - 1 - d + lo) * inner : (e - d + hi) * inner]
+    def block(cols: np.ndarray) -> np.ndarray:
+        """The product of A with the columns cols of B, formed and freed per block."""
+        b = field.digits(cols).transpose(2, 0, 1)[::-1].astype(np.float64, order="C")
+        b = b.reshape(e * inner, cols.shape[1])
+
+        def conv(d: int) -> np.ndarray:
+            lo, hi = max(0, d - e + 1), min(d, e - 1)
+            s = e - 1 - d  # B's planes run in reverse digit order
+            return a[:, lo * inner : (hi + 1) * inner] @ b[(s + lo) * inner : (s + hi + 1) * inner]
+
+        digits = [conv(t) for t in range(e)]
+        for d in range(e, 2 * e - 1):
+            high = conv(d)
+            # the digits of x^d modulo the field modulus; x is index p
+            for t, x in enumerate(field.digits(field.pow(p, d))):
+                if x:
+                    digits[t] += x * high
+        red = np.stack(digits, axis=-1, dtype=np.int64, casting="unsafe")
+        red %= p
+        return field.from_digits(red)
 
     out = np.empty((A.shape[0], B.shape[1]), dtype=np.int32)
     for c in range(0, B.shape[1], _PRODUCT_COLUMNS):
-        cols = B[:, c : c + _PRODUCT_COLUMNS]
-        b = _digit_planes(field, cols[None], w[::-1, None, None]).reshape(e * inner, cols.shape[1])
-        digits = [conv(b, t) for t in range(e)]
-        for d in range(e, 2 * e - 1):
-            high = conv(b, d)
-            for t, x in enumerate(_x_power_digits(field, d)):
-                if x:
-                    digits[t] += x * high
-        block = out[:, c : c + _PRODUCT_COLUMNS]
-        block[:] = _reduce_exact(digits[0], p)
-        for t in range(1, e):
-            block += _reduce_exact(digits[t], p) * field._powers_of_p[t]
+        out[:, c : c + _PRODUCT_COLUMNS] = block(B[:, c : c + _PRODUCT_COLUMNS])
     return out
-
-
-def _digit_planes(field: Field, X: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """The base-p digits X // w % p as float64; X itself over a prime field."""
-    if field.e == 1:
-        return X.astype(np.float64)
-    d = X // w
-    d %= field.p
-    return d.astype(np.float64)
-
-
-def _reduce_exact(C: np.ndarray, p: int) -> np.ndarray:
-    """A float64 array of exact nonnegative integers, reduced mod p as int32."""
-    return (C.astype(np.int64) % p).astype(np.int32)
-
-
-def _x_power_digits(field: Field, d: int) -> tuple[int, ...]:
-    """Digit vector of x^d reduced modulo the field modulus."""
-    elem = field.pow(field.p, d)  # index of x is p
-    return tuple((elem // w) % field.p for w in field._powers_of_p)
 
 
 def mat_mul(A: MatrixFq, B: MatrixFq) -> MatrixFq:

@@ -8,9 +8,13 @@ vectorized counterparts (prefixed ``v``) accept numpy integer arrays of
 any shape and are the building blocks for the exact linear algebra and
 the codeword enumeration fast paths.
 
-Addition works on the digits. Multiplication, inversion and powers, scalar
-and vectorized alike, are lookups in one pair of discrete-log tables, built
-at construction for every q from the powers of a generator of F_q^*.
+Every split of indices into digits in the package reads one read-only
+table per field, through :meth:`Field.digits` and :meth:`Field.from_digits`;
+vectorized addition works on those digits (XOR over characteristic 2, mod
+p over a prime field), while the scalar ``add`` and ``neg`` keep their own
+loops as an independent reference. Multiplication, inversion and powers
+are lookups in one pair of discrete-log tables, built at construction for
+every q from the powers of a generator of F_q^*.
 """
 
 from __future__ import annotations
@@ -103,7 +107,8 @@ class Field:
     generator g of the cyclic group F_q^*: ``_log[a]`` is log_g a, with the
     sentinel 2(q-1) for a = 0, and ``_exp`` holds g^i for i < 2(q-1) and
     zeros up to index 4(q-1). So ``_exp[_log[a] + _log[b]]`` is a*b for
-    every a and b, zero included.
+    every a and b, zero included. ``_digit_table[x]`` holds the digits of
+    index x (at most 2 MiB, at q = 2^16).
     """
 
     def __init__(self, q: int):
@@ -113,6 +118,9 @@ class Field:
         self.e = e
         self.modulus = _canonical_modulus(p, e)
         self._powers_of_p = tuple(p**i for i in range(e))
+        table = np.arange(q)[:, None] // np.array(self._powers_of_p) % p
+        self._digit_table = table.astype(np.int16 if p < 256 else np.int32)
+        self._digit_table.flags.writeable = False
         powers = self._generator_powers()
         exp = np.zeros(4 * (q - 1) + 1, dtype=np.int32)
         exp[: 2 * (q - 1)] = np.tile(powers, 2)
@@ -130,17 +138,16 @@ class Field:
         """Elementwise product of int64 index arrays as polynomials over F_p,
         reduced modulo the field modulus."""
         p, e = self.p, self.e
-        da = [a // w % p for w in self._powers_of_p]
-        db = [b // w % p for w in self._powers_of_p]
+        da, db = (self.digits(x).astype(np.int64) for x in (a, b))
         prod = [0] * (2 * e - 1)
         for i in range(e):
             for j in range(e):
-                prod[i + j] += da[i] * db[j]
+                prod[i + j] += da[..., i] * db[..., j]
         for d in range(2 * e - 2, e - 1, -1):
             c = prod[d] % p
             for t in range(e):
                 prod[d - e + t] -= c * self.modulus[t]
-        return sum(prod[t] % p * w for t, w in enumerate(self._powers_of_p))
+        return self.from_digits(np.stack(prod[:e], axis=-1) % p)
 
     def _generator_powers(self) -> np.ndarray:
         """g^0, ..., g^(q-2) for the smallest index g that generates F_q^*.
@@ -204,16 +211,33 @@ class Field:
 
     # -- vectorized operations ------------------------------------------------
 
+    def digits(self, x) -> np.ndarray:
+        """Base-p digits of the indices x, least significant first: shape
+        x.shape + (e,), int16 for p < 256 and int32 above; a cast when e = 1."""
+        if self.e == 1:
+            return np.asarray(x)[..., None].astype(self._digit_table.dtype)
+        return self._digit_table.take(x, axis=0)
+
+    def from_digits(self, d: np.ndarray) -> np.ndarray:
+        """int32 indices of the reduced digits d (last axis), by Horner's rule."""
+        out = d[..., -1].astype(np.int32)
+        for t in range(self.e - 2, -1, -1):
+            out *= self.p
+            out += d[..., t]
+        return out
+
     def vadd(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         p, e = self.p, self.e
         if p == 2:
             return a ^ b
         if e == 1:
             return (a + b) % p
-        out = np.zeros(np.broadcast(a, b).shape, dtype=np.int32)
-        for w in self._powers_of_p:
-            out += ((a // w + b // w) % p) * w
-        return out
+        # digit sums lie in 0..2p-2, so one conditional subtraction reduces
+        a, b = np.broadcast_arrays(a, b)
+        d = self.digits(a)
+        d += self.digits(b)
+        d -= (d >= p) * d.dtype.type(p)
+        return self.from_digits(d)
 
     def vsub(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         p, e = self.p, self.e
@@ -224,21 +248,16 @@ class Field:
             d = a - b
             d += (d < 0) * np.int32(p)
             return d
-        out = np.zeros(np.broadcast(a, b).shape, dtype=np.int32)
-        for w in self._powers_of_p:
-            out += ((a // w - b // w) % p) * w
-        return out
+        a, b = np.broadcast_arrays(a, b)
+        d = self.digits(a)
+        d -= self.digits(b)
+        d += (d < 0) * d.dtype.type(p)
+        return self.from_digits(d)
 
     def vneg(self, a: np.ndarray) -> np.ndarray:
-        p, e = self.p, self.e
-        if p == 2:
+        if self.p == 2:
             return a.copy()
-        if e == 1:
-            return (-a) % p
-        out = np.zeros(a.shape, dtype=np.int32)
-        for w in self._powers_of_p:
-            out += (-(a // w) % p) * w
-        return out
+        return self.from_digits(-self.digits(a) % self.p)
 
     def vmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return self._exp[self._log[a] + self._log[b]]
@@ -258,13 +277,8 @@ class Field:
 
     def vsum(self, a: np.ndarray) -> int:
         """Field sum of all entries (addition is digitwise mod p)."""
-        p, e = self.p, self.e
-        if e == 1:
-            return int(a.sum(dtype=np.int64) % p)
-        out = 0
-        for w in self._powers_of_p:
-            out += int(((a // w) % p).sum(dtype=np.int64) % p) * w
-        return out
+        sums = self.digits(a).reshape(-1, self.e).sum(axis=0, dtype=np.int64)
+        return int(self.from_digits(sums % self.p))
 
     # -- plumbing ---------------------------------------------------------------
 

@@ -85,17 +85,7 @@ def monomials_of_degree(n: int, k: int) -> list[Monomial]:
     Ordered lexicographically with larger a_0 first, so x_0^k is first
     and x_n^k is last.
     """
-    out: list[Monomial] = []
-
-    def rec(prefix: tuple[int, ...], remaining: int, slots: int) -> None:
-        if slots == 1:
-            out.append(prefix + (remaining,))
-            return
-        for a in range(remaining, -1, -1):
-            rec(prefix + (a,), remaining - a, slots - 1)
-
-    rec((), k, n + 1)
-    return out
+    return _bounded_compositions(k, n + 1, k)
 
 
 def reduce_monomial(m: Monomial, q: int) -> Monomial:

@@ -15,7 +15,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .code import LinearCode, hull, is_lcd, is_self_dual, is_self_orthogonal
+from .code import (
+    LinearCode,
+    contains_vector,
+    dual,
+    equal_codes,
+    hull,
+    is_lcd,
+    is_self_dual,
+    is_self_orthogonal,
+)
 from .errors import DimensionMismatch, InternalInconsistency, OutOfRange
 from .exactla import MatrixFq, SubspaceBasis
 from .field import Field
@@ -327,14 +336,34 @@ def described_dual_code(field: Field, n: int, k: int) -> LinearCode:
 
     ell = 0 collapses to the span of the all-ones vector.
     """
-    q = field.q
-    desc = dual_description(n, k, q)
-    if desc.ell == 0:
-        return prm_code(field, n, 0)
-    base = prm_code(field, n, desc.ell)
-    if not desc.adjoin_ones:
+    desc = dual_description(n, k, field.q)
+    return _described_dual(prm_code(field, n, desc.ell), desc.adjoin_ones)
+
+
+def _described_dual(base: PrmCode, adjoin: bool) -> LinearCode:
+    """base, or span(1, base) if the all-ones row is adjoined to a positive degree."""
+    if not adjoin or base.k == 0:
         return base
-    return adjoin_ones(base, label=f"span(1, PRM(n={n},k={desc.ell},q={q}))")
+    return adjoin_ones(base, label=f"span(1, {base.label})")
+
+
+def verify_dual(C: PrmCode, base: PrmCode) -> tuple[bool, bool | None]:
+    """Check the duality theorem on a proper code C(n, k, q), given the
+    degree-ell code `base` the caller already holds; nothing is built.
+
+    Returns (whether dual(C) is the described dual, whether the all-ones
+    word lies outside base); the second is None unless the all-ones row
+    is adjoined to a code of positive degree. Raises OutOfRange if base
+    is not the degree-ell code on the same space.
+    """
+    desc = dual_description(C.n, C.k, C.field.q)
+    if (base.n, base.k, base.field) != (C.n, desc.ell, C.field):
+        raise OutOfRange(f"the dual of {C.label} needs degree {desc.ell}, not {base.label}")
+    verified = equal_codes(dual(C), _described_dual(base, desc.adjoin_ones))
+    ones_outside = None
+    if desc.adjoin_ones and desc.ell >= 1:
+        ones_outside = not contains_vector(base, np.ones(C.N, dtype=np.int32))
+    return verified, ones_outside
 
 
 def adjoin_ones(C: LinearCode, label: str = "") -> LinearCode:

@@ -13,21 +13,18 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
 from .analyze import min_distance
-from .code import contains_vector, dual, equal_codes
+from .code import contains_vector, dual
 from .errors import UsageError
 from .field import field_make
 from .prm import (
-    adjoin_ones,
     classify_code,
     dim_mr,
     dim_sorensen,
-    dual_description,
     hull_dim_cases,
     lcd_witness,
     prm_code,
+    verify_dual,
 )
 
 
@@ -57,18 +54,7 @@ def _sweep_row(field, n: int, k: int, get_code) -> dict:
     dims_ok = K_s == K_m == C.K
 
     D = dual(C)
-    ones = np.ones((1, C.N), dtype=np.int32)
-    desc = dual_description(n, k, q)
-    if desc.ell == 0:
-        E = prm_code(field, n, 0)
-    elif desc.adjoin_ones:
-        E = adjoin_ones(get_code(desc.ell))
-    else:
-        E = get_code(desc.ell)
-    dual_ok = equal_codes(D, E)
-    ones_outside = None
-    if desc.adjoin_ones and desc.ell >= 1:
-        ones_outside = not contains_vector(get_code(desc.ell), ones)
+    dual_ok, ones_outside = verify_dual(C, get_code(n * (q - 1) - k))
 
     dual_hull_dim = D.K - D.gram_rank()
     witness_ok = None

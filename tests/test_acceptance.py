@@ -9,6 +9,8 @@ full-grid sweep feeds criteria 2, 3, 6 and 7.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 import time
 
@@ -33,6 +35,11 @@ KNOWN_PARAMETERS = {
     (2, 1, 3): (13, 3, 9),
     (2, 2, 5): (31, 6, 20),
 }
+
+# SHA-256 of the 149 173-byte payload that `prmhull sweep --json --distances
+# 10000000` prints, recorded at commit 2550b4c with
+# `prmhull sweep --json --distances 10000000 | sha256sum`.
+SWEEP_PAYLOAD_SHA256 = "ac6dfe71f9beeb2690a64521fec74568c83989cfbb97279dfd520d7e22e027c3"
 
 # Full weight distribution of the [40, 20, 9] code over GF(3).
 C333_DISTRIBUTION = {
@@ -231,3 +238,12 @@ def test_criterion_7_no_closed_form_coverage(sweep_data):
         f"CRITERION 7: PASS — {len(flagged)} no-closed-form points reported "
         f"with constructive hull dimensions"
     )
+
+
+def test_sweep_payload_bytes_are_pinned(sweep_data):
+    # A refactor must leave the CLI's bytes alone: the shared sweep, encoded
+    # as `sweep --json` prints it, hashes to the recorded digest.
+    payload = {"rows": sweep_data["rows"], "summary": sweep_data["summary"]}
+    data = (json.dumps(payload, indent=2) + "\n").encode()
+    assert len(data) == 149173
+    assert hashlib.sha256(data).hexdigest() == SWEEP_PAYLOAD_SHA256

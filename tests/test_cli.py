@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from prmhull import analyze, cli, exactla, sweep
+from prmhull import analyze, cli, exactla, prm, sweep
 from prmhull.cli import (
     EXIT_BUDGET,
     EXIT_DISAGREE,
@@ -185,6 +185,24 @@ def test_dual_check_adjoin_point(capsys):
     assert code == EXIT_OK
     assert "ell=2" in out and "adjoin_ones=yes" in out
     assert "row-space equality: yes" in out
+
+
+def test_dual_check_builds_each_code_once(capsys, monkeypatch):
+    # At (2, 2, 3) the dual-side degree n(q-1) - k is k itself: one build of
+    # C and one of the degree-ell code, which the duality check reuses for
+    # the described dual and for the all-ones test.
+    real = prm.prm_code
+    built = []
+
+    def spy(field, n, k):
+        built.append(k)
+        return real(field, n, k)
+
+    monkeypatch.setattr(cli, "prm_code", spy)
+    monkeypatch.setattr(prm, "prm_code", spy)
+    code, out, _ = run(["dual-check", "--n", "2", "--k", "2", "--q", "3"], capsys)
+    assert code == EXIT_OK and "agree: yes" in out
+    assert built == [2, 2]
 
 
 def test_dual_check_plain_point_json(capsys):
@@ -368,6 +386,21 @@ def test_library_has_no_assert_statements():
     assert found == []
 
 
+def test_only_field_reads_the_digit_encoding():
+    # Indices split into base-p digits in one place: every other module goes
+    # through Field.digits and Field.from_digits.
+    private = {"_powers_of_p", "_digit_table"}
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(cli.__file__).resolve().parent.glob("*.py"))
+        if path.name != "field.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if (isinstance(node, ast.Attribute) and node.attr in private)
+        or (isinstance(node, ast.Constant) and node.value in private)
+    ]
+    assert found == []
+
+
 def test_embedded_reference_agrees_with_formula_distance():
     ref = cli.REFERENCE_WEIGHT_DISTRIBUTIONS[(3, 3, 3)]
     assert sum(ref.values()) == 3**20
@@ -519,6 +552,20 @@ def test_sweep_disagreement_exits_2(capsys, monkeypatch):
     code, out, _ = run(["sweep", "--n", "1", "--q", "2"], capsys)
     assert code == EXIT_DISAGREE
     assert "disagree=1" in out
+
+
+@pytest.mark.parametrize("fmt", ["--json", "--csv"])
+def test_sweep_unwritable_out_fails_before_the_sweep(capsys, monkeypatch, tmp_path, fmt):
+    def never(*args, **kwargs):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(cli, "run_sweep", never)
+    for out in (tmp_path / "missing" / "rows.out", tmp_path):
+        code, stdout, err = run(
+            ["sweep", "--n", "1", "--q", "3", fmt, "--out", str(out)], capsys
+        )
+        assert code == EXIT_USAGE and stdout == "", out
+        assert err.startswith("error: cannot write --out file") and err.count("\n") == 1, err
 
 
 def test_run_sweep_spec_validation():

@@ -15,6 +15,7 @@ PRIME_POWERS_TO_64 = [
     2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32,
     37, 41, 43, 47, 49, 53, 59, 61, 64,
 ]
+DIGIT_TABLE_QS = PRIME_POWERS_TO_64 + [243, 256, 257, 625, 1024, 59049, 65521, 65536]
 
 
 def poly_eval(coeffs, x, p):
@@ -211,6 +212,46 @@ class TestVectorized:
         for x in a:
             acc = f.add(acc, int(x))
         assert f.vsum(a) == acc
+
+
+class TestDigitTable:
+    @staticmethod
+    def indices(q):
+        """Every index, or a sample of 10^4 above q = 4096."""
+        if q <= 4096:
+            return np.arange(q)
+        return np.random.default_rng(q).integers(0, q, size=10**4)
+
+    @pytest.mark.parametrize("q", DIGIT_TABLE_QS)
+    def test_digits_match_divmod(self, q):
+        f = field_make(q)
+        x = self.indices(q)
+        expected = []
+        for v in x.tolist():
+            row = []
+            for _ in range(f.e):
+                v, d = divmod(v, f.p)
+                row.append(d)
+            expected.append(row)
+        d = f.digits(x)
+        assert d.shape == x.shape + (f.e,)
+        assert d.dtype == (np.int16 if f.p < 256 else np.int32)
+        assert d.tolist() == expected
+
+    @pytest.mark.parametrize("q", DIGIT_TABLE_QS)
+    def test_from_digits_inverts_digits(self, q):
+        f = field_make(q)
+        x = self.indices(q)
+        assert np.array_equal(f.from_digits(f.digits(x)), x)
+        grid = np.resize(x, (6, 10))
+        assert np.array_equal(f.from_digits(f.digits(grid)), grid)
+
+    @pytest.mark.parametrize("q", DIGIT_TABLE_QS)
+    def test_table_is_read_only(self, q):
+        f = field_make(q)
+        assert f._digit_table.nbytes <= 2 << 20
+        with pytest.raises(ValueError):
+            f._digit_table[0] = 1
 
 
 class TestPowerSum:

@@ -29,6 +29,7 @@ from prmhull.prm import (
     min_dist_formula,
     prm_code,
     rsj_hull_dim,
+    verify_dual,
 )
 
 # Small parameter grid used by several theorem checks: every admissible k.
@@ -222,6 +223,22 @@ def test_ones_vector_outside_code_in_adjoin_cases():
             if desc.adjoin_ones and desc.ell >= 1:
                 base = prm_code(f, n, desc.ell)
                 assert not contains_vector(base, np.ones(base.N, dtype=np.int32))
+
+
+def test_verify_dual_on_grid():
+    for n, q in GRID:
+        f = field_make(q)
+        for k in all_k(n, q):
+            desc = dual_description(n, k, q)
+            verified, ones_outside = verify_dual(prm_code(f, n, k), prm_code(f, n, desc.ell))
+            assert verified, (n, k, q)
+            assert ones_outside is (True if desc.adjoin_ones and desc.ell >= 1 else None)
+
+
+def test_verify_dual_rejects_a_base_of_another_degree():
+    f = field_make(3)
+    with pytest.raises(OutOfRange):
+        verify_dual(prm_code(f, 2, 1), prm_code(f, 2, 1))  # the dual side has degree 3
 
 
 def test_dual_of_maximal_degree_is_span_of_ones():
