@@ -169,17 +169,12 @@ def _inner_depth(q: int, K: int, N: int) -> int:
 # set where the coordinate is 1 (2).
 
 
-def _pack3(v: np.ndarray, W: int) -> tuple[np.ndarray, np.ndarray]:
+def _pack3(v: np.ndarray, W: int) -> np.ndarray:
     """Pack a trit vector into per-64-coordinate (low, high) bitplanes."""
-    lo = np.zeros(W, dtype=np.uint64)
-    hi = np.zeros(W, dtype=np.uint64)
-    for j, t in enumerate(v):
-        w, b = divmod(j, 64)
-        if t == 1:
-            lo[w] |= np.uint64(1) << np.uint64(b)
-        elif t == 2:
-            hi[w] |= np.uint64(1) << np.uint64(b)
-    return lo, hi
+    bits = np.zeros((2, 64 * W), dtype=bool)
+    bits[0, : len(v)] = v == 1
+    bits[1, : len(v)] = v == 2
+    return np.packbits(bits, axis=1, bitorder="little").view("<u8")
 
 
 def _add3(al, ah, bl, bh):
@@ -244,15 +239,8 @@ def _walk3(field, block, outer, offset, target_w, stop_at):
 
 
 def _unpack_support_words(words: tuple[int, ...]) -> tuple[int, ...]:
-    out = []
-    for w, word in enumerate(words):
-        j = 0
-        while word:
-            if word & 1:
-                out.append(w * 64 + j)
-            word >>= 1
-            j += 1
-    return tuple(out)
+    bits = np.unpackbits(np.array(words, dtype="<u8").view(np.uint8), bitorder="little")
+    return tuple(np.flatnonzero(bits).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +256,7 @@ def _block_generic(field, rows):
     block = np.zeros((rows.shape[1], 1), dtype=dtype)
     for r in rows[::-1]:
         parts = [
-            field.vadd(block, field.vscale(s, r)[:, None]).astype(dtype)
+            field.vadd(block, field.vmul(s, r)[:, None]).astype(dtype)
             for s in range(field.q)
         ]
         block = np.concatenate(parts, axis=1)
@@ -280,7 +268,7 @@ def _walk_generic(field, block, outer, offset, target_w, stop_at):
     # Each outer symbol steps through the additive group F_p^e: row g
     # becomes the e rows x^b * g (element index p^b is x^b), and the walk
     # runs over e digits of radix p per symbol.
-    steps = [field.vscale(field.p**b, r) for r in outer for b in range(field.e)]
+    steps = [field.vmul(field.p**b, r) for r in outer for b in range(field.e)]
     neg = field.vneg(offset)
 
     differs = np.empty((N, n), dtype=bool)
@@ -350,7 +338,7 @@ class _ClassScan:
         K = len(G)
         offset = G[i]
         for digit, row in zip(digits, G[i + 1 :]):
-            offset = field.vadd(offset, field.vscale(digit, row))
+            offset = field.vadd(offset, field.vmul(digit, row))
         free = K - 1 - i - len(digits)
         d = min(free, self.depth)
         block = self.block[..., : field.q**d]

@@ -263,7 +263,7 @@ def _rref_array(field: Field, A: np.ndarray) -> tuple[np.ndarray, tuple[int, ...
             D[r, c:] %= p
         row = join(D[r, c:])
         if row[0] != 1:
-            row = field.vscale(field.inv(int(row[0])), row)
+            row = field.vmul(field.inv(int(row[0])), row)
             D[r, c:] = digits(row)
         f[r] = 0
         act = np.flatnonzero(f)

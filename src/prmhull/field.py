@@ -12,9 +12,12 @@ Every split of indices into digits in the package reads one read-only
 table per field, through :meth:`Field.digits` and :meth:`Field.from_digits`;
 vectorized addition works on those digits (XOR over characteristic 2, mod
 p over a prime field), while the scalar ``add`` and ``neg`` keep their own
-loops as an independent reference. Multiplication, inversion and powers
-are lookups in one pair of discrete-log tables, built at construction for
-every q from the powers of a generator of F_q^*.
+loops as an independent reference. Multiplication and inversion are
+lookups in one pair of discrete-log tables, built at construction for
+every q from the powers of a generator of F_q^*, and no other module reads
+them: every power, and every monomial evaluated at a set of points, is one
+:meth:`Field.power_products` call, one product of exponents with logs and
+one lookup.
 """
 
 from __future__ import annotations
@@ -107,8 +110,9 @@ class Field:
     generator g of the cyclic group F_q^*: ``_log[a]`` is log_g a, with the
     sentinel 2(q-1) for a = 0, and ``_exp`` holds g^i for i < 2(q-1) and
     zeros up to index 4(q-1). So ``_exp[_log[a] + _log[b]]`` is a*b for
-    every a and b, zero included. ``_digit_table[x]`` holds the digits of
-    index x (at most 2 MiB, at q = 2^16).
+    every a and b, zero included; vectorized lookups use ``take``, 2-3x
+    faster than fancy indexing with a 2-D index. ``_digit_table[x]`` holds
+    the digits of index x (at most 2 MiB, at q = 2^16).
     """
 
     def __init__(self, q: int):
@@ -260,20 +264,36 @@ class Field:
         return self.from_digits(-self.digits(a) % self.p)
 
     def vmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return self._exp[self._log[a] + self._log[b]]
-
-    def vscale(self, f: int, a: np.ndarray) -> np.ndarray:
-        """Scalar f times every entry of a."""
-        return self._exp[self._log[f] + self._log[a]]
+        """Elementwise product; either operand may be a scalar."""
+        return self._exp.take(self._log.take(a) + self._log.take(b))
 
     def vpow(self, a: np.ndarray, m: int) -> np.ndarray:
-        """Elementwise a^m with 0^0 = 1: log a times m, modulo q - 1."""
-        if m == 0:
-            return np.ones(np.shape(a), dtype=np.int32)
-        t = self._log[a]
-        tm = t.astype(np.int64) * (m % (self.q - 1)) % (self.q - 1)
-        # the sentinel of 0 stays put, so 0^m = 0 for every m != 0
-        return self._exp[np.where(t == self._log[0], t, tm)]
+        """Elementwise a^m with 0^0 = 1."""
+        # m may exceed int64, so it is reduced modulo x^q = x here
+        m = 0 if m == 0 else (m - 1) % (self.q - 1) + 1
+        a = np.asarray(a)
+        return self.power_products([[m]], a.reshape(-1, 1)).reshape(a.shape)
+
+    def power_products(self, exps, x: np.ndarray) -> np.ndarray:
+        """Entry [r, i] is the product over j of x[i, j]^exps[r, j], with 0^0 = 1.
+
+        exps holds R rows of nonnegative int64 exponents, one per column of
+        the (N, m) index array x; a row of another length raises ValueError.
+        """
+        # Reducing positive exponents modulo x^q = x keeps every value,
+        # 0^t = 0 included, and keeps the int64 product below from overflow.
+        # Then x^t is exp[(t . log x) mod (q-1)], unless a coordinate with a
+        # positive exponent is 0, when the product is 0 (the log sentinel).
+        q1 = self.q - 1
+        exps = np.array(exps, dtype=np.int64).reshape(len(exps), x.shape[1])
+        pos = exps > 0
+        exps[pos] = (exps[pos] - 1) % q1 + 1
+        logs = self._log.take(x)
+        zero = logs == self._log[0]
+        t = exps @ np.where(zero, 0, logs).T
+        t %= q1
+        t[pos @ zero.T] = self._log[0]
+        return self._exp.take(t)
 
     def vsum(self, a: np.ndarray) -> int:
         """Field sum of all entries (addition is digitwise mod p)."""

@@ -5,7 +5,9 @@ A monomial in n+1 variables is represented by its bare exponent tuple
 leftmost nonzero coordinate is 1, ordered by stratum (position of the
 leading 1) and then lexicographically by element index with the last
 coordinate varying fastest. This fixed order makes every generator
-matrix in the package bit-reproducible.
+matrix in the package bit-reproducible. Evaluation itself is the field's
+:meth:`~prmhull.field.Field.power_products`: one row per monomial, one
+column per point.
 """
 
 from __future__ import annotations
@@ -130,30 +132,12 @@ def reduced_basis_monomials(n: int, k: int, q: int) -> list[Monomial]:
 def evaluate(m: Monomial, P: ProjectivePointSet) -> np.ndarray:
     """Evaluate the monomial at every point, with the convention 0^0 = 1.
 
-    Reduction modulo x^q = x leaves the value at every field element
-    unchanged (including 0, since reduced exponents of positive exponents
-    stay positive), so exponents are reduced before evaluation.
+    Raises:
+        ValueError: if m does not have one exponent per coordinate.
     """
-    if len(m) != P.pts.shape[1]:
-        raise ValueError(f"monomial has {len(m)} exponents, points have {P.pts.shape[1]}")
-    return _evaluate_rows(P.field, [m], P.pts)[0]
+    return P.field.power_products([m], P.pts)[0]
 
 
 def evaluate_rows(monomials: list[Monomial], P: ProjectivePointSet) -> np.ndarray:
     """Evaluation matrix with one row per monomial, in the given order."""
-    return _evaluate_rows(P.field, monomials, P.pts)
-
-
-def _evaluate_rows(field: Field, monomials: list[Monomial], pts: np.ndarray) -> np.ndarray:
-    # In the log domain x^m is exp[(m . log x) mod (q-1)], unless a
-    # coordinate with a positive exponent is 0; then the value is 0.
-    q = field.q
-    exps = np.array(
-        [reduce_monomial(m, q) for m in monomials], dtype=np.int64
-    ).reshape(len(monomials), pts.shape[1])
-    logs = field._log[pts].astype(np.int64)
-    zero = logs == field._log[0]
-    t = exps @ np.where(zero, 0, logs).T
-    t %= q - 1
-    t[(exps > 0) @ zero.T] = field._log[0]
-    return field._exp[t]
+    return P.field.power_products(monomials, P.pts)

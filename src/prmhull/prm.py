@@ -30,7 +30,6 @@ from .exactla import MatrixFq, SubspaceBasis
 from .field import Field
 from .geometry import (
     Monomial,
-    _evaluate_rows,
     affine_points,
     evaluate,
     evaluate_rows,
@@ -326,7 +325,7 @@ def arm_code(field: Field, n: int, k: int) -> LinearCode:
     pts = affine_points(field, n)
     monos = [m for m in itertools.product(range(q), repeat=n) if sum(m) <= k]
     monos.sort(key=lambda m: (-sum(m), tuple(-a for a in m)))
-    G = _evaluate_rows(field, monos, pts)
+    G = field.power_products(monos, pts)
     return LinearCode(MatrixFq(field, G), label=f"ARM(n={n},k={k},q={q})")
 
 

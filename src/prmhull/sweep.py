@@ -103,11 +103,13 @@ def run_sweep(spec: SweepSpec, log=None) -> tuple[list[dict], dict]:
         raise UsageError("sweep needs a nonempty --k list (or 'all')")
     if any(n < 1 for n in spec.n_list):
         raise UsageError("sweep needs every n >= 1")
-    fields = [field_make(q) for q in spec.q_list]
+    # A repeated n or q would repeat its rows; the first occurrence keeps
+    # its place, since the q order sets the row order.
+    fields = [field_make(q) for q in dict.fromkeys(spec.q_list)]
     rows: list[dict] = []
     for field in fields:
         q = field.q
-        for n in spec.n_list:
+        for n in dict.fromkeys(spec.n_list):
             t0 = time.monotonic()
             t = n * (q - 1)
             if spec.k_policy == "all":

@@ -387,9 +387,10 @@ def test_library_has_no_assert_statements():
 
 
 def test_only_field_reads_the_digit_encoding():
-    # Indices split into base-p digits in one place: every other module goes
-    # through Field.digits and Field.from_digits.
-    private = {"_powers_of_p", "_digit_table"}
+    # Indices split into base-p digits, and logs are taken, in one place:
+    # every other module goes through Field.digits, Field.from_digits,
+    # Field.vmul and Field.power_products.
+    private = {"_powers_of_p", "_digit_table", "_log", "_exp"}
     found = [
         f"{path.name}:{node.lineno}"
         for path in sorted(Path(cli.__file__).resolve().parent.glob("*.py"))
@@ -397,6 +398,19 @@ def test_only_field_reads_the_digit_encoding():
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
         if (isinstance(node, ast.Attribute) and node.attr in private)
         or (isinstance(node, ast.Constant) and node.value in private)
+    ]
+    assert found == []
+
+
+def test_no_module_imports_a_private_name_of_another():
+    found = [
+        f"{path.name}:{node.lineno} {alias.name}"
+        for path in sorted(Path(cli.__file__).resolve().parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").split(".")[0] == "prmhull")
+        for alias in node.names
+        if alias.name.startswith("_")
     ]
     assert found == []
 
@@ -464,6 +478,17 @@ def test_sweep_small_grid_all_agree(capsys):
     assert code == EXIT_OK
     assert "sweep summary: points=30 agree=30 disagree=0 no-closed-form=0" in out
     assert "sweep q=5 n=2" in err
+
+
+def test_sweep_repeated_grid_values_run_once(capsys):
+    code, out, err = run(
+        ["sweep", "--n", "1,1", "--q", "5,3,5,3", "--k", "1,1", "--json"], capsys
+    )
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    assert [(r["q"], r["n"], r["k"]) for r in payload["rows"]] == [(5, 1, 1), (3, 1, 1)]
+    assert payload["summary"]["points"] == 2
+    assert err.count("sweep q=") == 2
 
 
 def test_sweep_csv_schema(capsys):

@@ -258,7 +258,7 @@ def test_contains_vector_on_rows_and_combinations():
     assert contains_vector(C, [1, 1, 1, 0])
     assert contains_vector(C, [0, 1, 2, 1])
     # 2 * row0 + row1
-    combo = f3.vadd(f3.vscale(2, C.G.a[0]), C.G.a[1])
+    combo = f3.vadd(f3.vmul(2, C.G.a[0]), C.G.a[1])
     assert contains_vector(C, combo)
     assert contains_vector(C, [0, 0, 0, 0])
     assert not contains_vector(C, [1, 0, 0, 0])

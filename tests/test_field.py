@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -157,7 +159,7 @@ class TestAgainstSchoolbook:
         table = [[ref_mul(f, a, b) for b in range(q)] for a in range(q)]
         assert f.vmul(idx[:, None], idx[None, :]).tolist() == table
         assert [[f.mul(a, b) for b in range(q)] for a in range(q)] == table
-        assert [f.vscale(a, idx).tolist() for a in range(q)] == table
+        assert [f.vmul(a, idx).tolist() for a in range(q)] == table
         for a in range(1, q):
             assert ref_mul(f, a, f.inv(a)) == 1
         powers = np.ones(q, dtype=np.int64)  # a^m for every a, 0^0 = 1
@@ -177,13 +179,65 @@ class TestAgainstSchoolbook:
         assert f.vmul(a, b).tolist() == ref
         assert [f.mul(x, y) for x, y in zip(a.tolist(), b.tolist())] == ref
         s = int(a[0])
-        assert f.vscale(s, b).tolist() == [ref_mul(f, s, y) for y in b.tolist()]
+        assert f.vmul(s, b).tolist() == [ref_mul(f, s, y) for y in b.tolist()]
         for x in a.tolist():
             if x:
                 assert ref_mul(f, x, f.inv(x)) == 1
         assert [f.pow(x, e) for x, e in zip(a.tolist(), m.tolist())] == [
             ref_pow(f, x, e) for x, e in zip(a.tolist(), m.tolist())
         ]
+
+
+class TestPowerProducts:
+    """power_products and vpow against products of schoolbook powers."""
+
+    @pytest.mark.parametrize("q", DIGIT_TABLE_QS)
+    def test_matches_schoolbook(self, q):
+        f = field_make(q)
+        rng = np.random.default_rng(q)
+        x = rng.integers(0, q, size=(8, 3))
+        x[0] = 0
+        x[1, 0] = x[2, 2] = 0
+        special = [0, 1, q - 1, q, 10**12]
+        pairs = itertools.product(special, repeat=2)
+        exps = [[s, t, special[i % 5]] for i, (s, t) in enumerate(pairs)]
+        exps += rng.integers(0, 3 * q, size=(5, 3)).tolist()
+        powers = {}
+
+        def power(c, t):
+            if (c, t) not in powers:
+                powers[c, t] = ref_pow(f, c, t)
+            return powers[c, t]
+
+        expected = []
+        for row in exps:
+            vals = []
+            for pt in x.tolist():
+                v = 1
+                for c, t in zip(pt, row):
+                    v = ref_mul(f, v, power(c, t))
+                vals.append(v)
+            expected.append(vals)
+        got = f.power_products(exps, x)
+        assert got.dtype == np.int32
+        assert got.tolist() == expected
+        assert f.power_products([], x).shape == (0, 8)
+
+    @pytest.mark.parametrize("q", DIGIT_TABLE_QS)
+    def test_vpow_reduces_large_exponents(self, q):
+        f = field_make(q)
+        a = np.random.default_rng(q).integers(0, q, size=(3, 7))
+        a[0, 0] = 0
+        for m in (0, q - 1, 2**70):
+            got = f.vpow(a, m)
+            assert got.shape == a.shape
+            assert got.ravel().tolist() == [ref_pow(f, x, m) for x in a.ravel().tolist()]
+
+    @pytest.mark.parametrize("exps", [[(1, 0)], [(1, 0, 0), (1, 0)], [(1, 0, 0, 0)] * 3])
+    def test_wrong_exponent_count_rejected(self, exps):
+        x = np.zeros((4, 3), dtype=np.int32)
+        with pytest.raises(ValueError):
+            field_make(5).power_products(exps, x)
 
 
 class TestVectorized:
@@ -199,7 +253,7 @@ class TestVectorized:
         assert [f.neg(int(x)) for x in a] == list(f.vneg(a))
         s = int(b[0])
         if s:
-            assert [f.mul(s, int(x)) for x in a] == list(f.vscale(s, a))
+            assert [f.mul(s, int(x)) for x in a] == list(f.vmul(s, a))
         for m in [0, 1, 2, 3, q - 1, q, 2 * q + 1]:
             assert [f.pow(int(x), m) for x in a] == list(f.vpow(a, m))
 

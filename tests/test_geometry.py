@@ -217,3 +217,9 @@ class TestEvaluate:
         P = projective_points(field_make(3), 2)
         with pytest.raises(ValueError):
             evaluate((1, 0), P)
+
+    @pytest.mark.parametrize("monos", [[(1, 0)], [(1, 0, 0), (1, 0)], [(1, 0, 0, 0)] * 3])
+    def test_evaluate_rows_wrong_arity_rejected(self, monos):
+        P = projective_points(field_make(3), 2)
+        with pytest.raises(ValueError):
+            evaluate_rows(monos, P)
