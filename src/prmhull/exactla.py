@@ -21,10 +21,19 @@ Elimination is avoided wherever a canonical basis is already known. The
 sum of two canonical bases reduces only the rows the smaller one adds to
 the larger, after one exact product clears the larger's pivot columns,
 so the hull (C + C^⊥)^⊥ never stacks the two N-column bases; and a
-basis caches its orthogonal complement. Exact products run on float64
-BLAS over digit planes, taken from the field's digits straight into
-float64, one product per convolution digit, and reduce each output
-digit once.
+basis caches its orthogonal complement.
+
+Exact products run on float64 BLAS by Kronecker substitution, as in
+Dumas, Fousse and Salvy (J. Symb. Comp. 46(7), 2011): g of an element's
+base-p digits are packed into one float64 as their digit polynomial
+evaluated at 2^b, so one product of packed operands holds every digit of
+the convolution in its own b-bit lane. Every term and partial sum is a
+nonnegative integer below 2^53, exact in any summation order; a size rule
+from (p, e, inner) alone picks g, b and the inner chunk that keep it so.
+Over odd p the lanes are cut out with int64 shifts and masks, the x^d
+terms (d >= e) folded in, and each output digit reduced once; over
+characteristic 2 a digit is the parity of the lanes it folds, one
+`bitwise_count` under a mask.
 """
 
 from __future__ import annotations
@@ -223,7 +232,9 @@ def _rref_array(field: Field, A: np.ndarray) -> tuple[np.ndarray, tuple[int, ...
     pivot, so the trailing block is reduced every `interval` pivots,
     before any digit can leave its dtype: int16 for digits below 256,
     which keeps the interval at least 128 pivots, and int32 otherwise.
-    An all-zero A returns at once.
+    A column with no nonzero entry in the unresolved rows holds no pivot,
+    and the run of such columns after it is skipped at once. An all-zero
+    A returns at once.
     """
     M = A.astype(np.int32, copy=True)
     if not M.any():
@@ -245,15 +256,14 @@ def _rref_array(field: Field, A: np.ndarray) -> tuple[np.ndarray, tuple[int, ...
     D = digits(M)  # rows x cols x digits
     interval = np.iinfo(D.dtype).max // (p - 1)
     pivots = []
-    r = since_reduce = 0
-    for c in range(cols):
-        if r >= rows:
-            break
+    r = since_reduce = c = 0
+    while c < cols and r < rows:
         if lazy:
             D[:, c] %= p
         f = join(D[:, c])
         nz = np.nonzero(f[r:])[0]
         if nz.size == 0:
+            c = _next_live_column(D, r, c + 1, p if lazy else 0)
             continue
         i = int(nz[0]) + r
         if i != r:
@@ -282,13 +292,34 @@ def _rref_array(field: Field, A: np.ndarray) -> tuple[np.ndarray, tuple[int, ...
                 D[act, c:] = block
         pivots.append(c)
         r += 1
+        c += 1
         since_reduce += 1
         if lazy and since_reduce == interval:
-            D[:, c + 1 :] %= p
+            D[:, c:] %= p
             since_reduce = 0
     if lazy:
         D %= p
     return join(D), tuple(pivots)
+
+
+def _next_live_column(D: np.ndarray, r: int, c: int, p: int) -> int:
+    """The first column from c on with a nonzero entry in rows r.., or D's width.
+
+    Windows of columns twice as wide each time are tested at once, so a
+    run of columns without a pivot costs a few passes, not a few per
+    column. With p > 0 the window's digits are reduced mod p first.
+    """
+    width = 8
+    while c < D.shape[1]:
+        window = D[r:, c : c + width]
+        if p:
+            window %= p
+        live = window.any(axis=(0, 2))
+        if live.any():
+            return c + int(live.argmax())
+        c += width
+        width *= 2
+    return D.shape[1]
 
 
 def rref(M: MatrixFq) -> tuple[MatrixFq, tuple[int, ...], int]:
@@ -311,59 +342,157 @@ def transpose(M: MatrixFq) -> MatrixFq:
     return MatrixFq(M.field, M.a.T.copy())
 
 
-# B is taken this many columns at a time, so the float64 digit planes and
-# digits of a product with many digits and a long output row (the n = 1
-# codes at q = 2048 have rows of 2049) are those of one block, not of
-# the whole output.
+# B is taken this many columns at a time, so the packed planes and the
+# lane sums of a product with many digits and a long output row (the
+# n = 1 codes at q = 2048 have rows of 2049) are those of one block, not
+# of the whole output.
 _PRODUCT_COLUMNS = 256
+
+# An integer float64 sum is exact below 2^53, whatever order BLAS sums in.
+_FLOAT_BITS = 53
+# The size rule prices a BLAS multiply-add at this fraction of one
+# elementwise numpy pass over an output entry.
+_FLOPS_PER_PASS = 16
+
+
+def _product_plan(p: int, e: int, inner: int) -> tuple[int, int, int]:
+    """How an exact product over GF(p^e) packs digits: (g, b, L).
+
+    Each float64 operand entry holds g digits of an element in lanes of b
+    bits, so a product of two packed values holds 2g - 1 lanes, and
+    b = floor(53 / (2g - 1)) keeps the whole of it below 2^53. The e
+    digits fill h = ceil(e / g) packed planes; a lane sums at most h*g
+    digit products of at most (p-1)^2 per inner index, so L inner indices,
+    L*h*g*(p-1)^2 < 2^b, fill a lane without a carry into the next, and
+    the inner dimension is taken L at a time. g = 1 is the unpacked
+    convolution, one digit per plane, and always fits, since
+    e*(p-1)^2 < 2^53.
+
+    Among the g for which one inner index fits, the rule takes the one
+    with the least estimated work per output entry: the multiply-adds of
+    the h^2 plane pairs over the inner dimension, priced by
+    _FLOPS_PER_PASS, plus, per chunk of L, the passes that read the 2h - 1
+    products: a cast, then three passes per lane (per output digit over
+    characteristic 2).
+    """
+    best = None
+    for g in range(1, e + 1):
+        h = -(-e // g)
+        b = _FLOAT_BITS // (2 * g - 1)
+        L = ((1 << b) - 1) // (h * g * (p - 1) ** 2)
+        if L == 0:
+            continue
+        chunks = max(1, -(-inner // L))
+        reads = 3 * (2 * g - 1) if p > 2 else 3 * e
+        cost = h * h * inner / _FLOPS_PER_PASS + chunks * (2 * h - 1) * (1 + reads)
+        if best is None or cost < best[0]:
+            best = (cost, g, b, L)
+    return best[1:]
 
 
 def _mat_mul_arrays(field: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Exact product over F_q via float64 BLAS on digit planes.
+    """Exact product over F_q via float64 BLAS on packed digits.
 
-    Digit d of the convolution of the operands' digit planes, the sum of
-    a_i @ b_j over i + j = d, is one product: A's planes side by side
-    times B's planes stacked in reverse order, both sliced to the pairs
-    that meet at d. Digit t of the product is convolution digit t plus
-    each x^d (d >= e) term scaled by digit t of x^d modulo the field
-    modulus. That folded sum is formed in float64 while it is still an
-    exact integer, each high digit folded as soon as it is formed, and
-    each output digit is then reduced once, as int64 mod p. A convolution
-    digit sums at most e plane products of at most inner*(p-1)^2 each,
-    and a folded digit adds e-1 such sums scaled by a digit below p, so
-    every intermediate value is at most
-    inner*(p-1)^2*e*(1 + (e-1)*(p-1)), kept below 2^52. B is taken in
-    blocks of _PRODUCT_COLUMNS columns; A's planes are formed once.
+    An element with base-p digits a_0, ..., a_{e-1} is its digit
+    polynomial; evaluated at x = 2^b, g of its digits make one float64,
+    sum_s a_s * 2^(b*s), and an element is h = ceil(e/g) such packed
+    planes (see _product_plan for g, b and the chunk L). The product of
+    two packed values holds the 2g - 1 coefficients of the product of
+    their digit polynomials, each in its own b-bit lane, so one BLAS
+    product of packed planes sums the digit convolution of a whole inner
+    chunk at once. Packed digit D, the sum of a_i @ b_j over plane pairs
+    i + j = D, is one product: A's planes side by side times B's planes
+    stacked in reverse order, both sliced to the pairs that meet at D.
+    Every term and partial sum is a nonnegative integer below 2^53, so the
+    float64 result is exact whatever order BLAS sums in.
+
+    Lane l of packed digit D is convolution digit D*g + l. Over odd p the
+    lanes are cut out with int64 shifts and masks and summed over the
+    inner chunks in int64; digit t of the product is convolution digit t
+    plus each x^d (d >= e) term scaled by digit t of x^d modulo the field
+    modulus, reduced once mod p. A convolution digit sums at most e digit
+    products per inner index and a folded digit adds e-1 such sums scaled
+    by a digit below p, so every int64 value is at most
+    inner*(p-1)^2*e*(1 + (e-1)*(p-1)), kept below 2^63. Over
+    characteristic 2 only each lane's parity counts: digit t is the
+    parity of the low bits of the lanes whose x^d has digit t, one
+    `bitwise_count` of the product under a mask, and chunks and packed
+    digits combine by XOR. B is taken in blocks of _PRODUCT_COLUMNS
+    columns; A's planes are formed once.
     """
     p, e = field.p, field.e
     inner = A.shape[1]
-    if inner * (p - 1) ** 2 * e * (1 + (e - 1) * (p - 1)) >= 1 << 52:
+    if inner * (p - 1) ** 2 * e * (1 + (e - 1) * (p - 1)) >= 1 << 63:
         raise DimensionMismatch(
             f"inner dimension {inner} too large for an exact product over GF({field.q})"
         )
-    # float64 planes in C order, so that no reshape copies them again
-    a = field.digits(A).transpose(0, 2, 1).astype(np.float64, order="C").reshape(len(A), e * inner)
+    g, b, L = _product_plan(p, e, inner)
+    h = -(-e // g)
+    lanes = 2 * g - 1
+    lane_mask = (1 << b) - 1
+    # pack[x, i]: plane i of element x; B's planes run in reverse order
+    weights = np.zeros((e, h))
+    for s in range(e):
+        weights[s, s // g] = 2.0 ** (b * (s % g))
+    pack = field.digits(np.arange(field.q)) @ weights
+    a = np.ascontiguousarray(pack.take(A, axis=0).transpose(0, 2, 1))  # rows x h x inner
+    # x_powers[d][t]: digit t of x^d modulo the field modulus; x is index p
+    x_powers = [*np.eye(e, dtype=int), *(field.digits(field.pow(p, d)) for d in range(e, 2 * e - 1))]
+    if p == 2:
+        # masks[D]: (t, the low bits of the lanes of packed digit D whose
+        # x^d has digit t)
+        masks = []
+        for D in range(2 * h - 1):
+            bits = [0] * e
+            for lane in range(lanes):
+                if D * g + lane < 2 * e - 1:
+                    for t in np.flatnonzero(x_powers[D * g + lane]):
+                        bits[t] |= 1 << (b * lane)
+            masks.append([(t, m) for t, m in enumerate(bits) if m])
 
     def block(cols: np.ndarray) -> np.ndarray:
         """The product of A with the columns cols of B, formed and freed per block."""
-        b = field.digits(cols).transpose(2, 0, 1)[::-1].astype(np.float64, order="C")
-        b = b.reshape(e * inner, cols.shape[1])
-
-        def conv(d: int) -> np.ndarray:
-            lo, hi = max(0, d - e + 1), min(d, e - 1)
-            s = e - 1 - d  # B's planes run in reverse digit order
-            return a[:, lo * inner : (hi + 1) * inner] @ b[(s + lo) * inner : (s + hi + 1) * inner]
-
-        digits = [conv(t) for t in range(e)]
-        for d in range(e, 2 * e - 1):
-            high = conv(d)
-            # the digits of x^d modulo the field modulus; x is index p
-            for t, x in enumerate(field.digits(field.pow(p, d))):
-                if x:
-                    digits[t] += x * high
-        red = np.stack(digits, axis=-1, dtype=np.int64, casting="unsafe")
-        red %= p
-        return field.from_digits(red)
+        bt = np.ascontiguousarray(pack[:, ::-1].take(cols, axis=0).transpose(2, 0, 1))  # h x inner x n
+        shape = (len(A), cols.shape[1])
+        # acc[t]: over characteristic 2 the XOR of the parities counted
+        # for digit t; otherwise convolution digit t, summed
+        acc = np.zeros((e, *shape), np.uint8) if p == 2 else np.zeros((2 * e - 1, *shape), np.int64)
+        prod, P, tmp = np.empty(shape), np.empty(shape, np.int64), np.empty(shape, np.int64)
+        count = np.empty(shape, np.uint8)
+        for k in range(0, max(inner, 1), L):
+            ak, bk = a[:, :, k : k + L], bt[:, k : k + L]
+            w = ak.shape[2]
+            for D in range(2 * h - 1):
+                lo, hi = max(0, D - h + 1), min(D, h - 1)
+                s = h - 1 - D
+                np.matmul(
+                    ak[:, lo : hi + 1].reshape(shape[0], (hi - lo + 1) * w),
+                    bk[s + lo : s + hi + 1].reshape((hi - lo + 1) * w, shape[1]),
+                    out=prod,
+                )
+                P[...] = prod
+                if p == 2:
+                    for t, m in masks[D]:
+                        np.bitwise_and(P, m, out=tmp)
+                        acc[t] ^= np.bitwise_count(tmp, out=count)
+                    continue
+                for lane in range(min(lanes, 2 * e - 1 - D * g)):
+                    x = P
+                    if lanes > 1:
+                        x = np.right_shift(P, b * lane, out=tmp)
+                        if lane < lanes - 1:
+                            x &= lane_mask
+                    acc[D * g + lane] += x
+        if p == 2:
+            acc &= 1
+        else:
+            for d in range(e, 2 * e - 1):
+                for t, x in enumerate(x_powers[d]):
+                    if x:
+                        acc[t] += np.multiply(acc[d], int(x), out=tmp)
+            acc = acc[:e]
+            acc %= p
+        return field.from_digits(np.moveaxis(acc, 0, -1))
 
     out = np.empty((A.shape[0], B.shape[1]), dtype=np.int32)
     for c in range(0, B.shape[1], _PRODUCT_COLUMNS):

@@ -278,10 +278,11 @@ class Field:
         """Entry [r, i] is the product over j of x[i, j]^exps[r, j], with 0^0 = 1.
 
         exps holds R rows of nonnegative int64 exponents, one per column of
-        the (N, m) index array x; a row of another length raises ValueError.
+        the (N, m) index array x; a row of another length raises ValueError,
+        and so does m >= 2^53 / (q-1)^2, far beyond any point's coordinates.
         """
         # Reducing positive exponents modulo x^q = x keeps every value,
-        # 0^t = 0 included, and keeps the int64 product below from overflow.
+        # 0^t = 0 included, and bounds the exponent product below.
         # Then x^t is exp[(t . log x) mod (q-1)], unless a coordinate with a
         # positive exponent is 0, when the product is 0 (the log sentinel).
         q1 = self.q - 1
@@ -290,7 +291,15 @@ class Field:
         exps[pos] = (exps[pos] - 1) % q1 + 1
         logs = self._log.take(x)
         zero = logs == self._log[0]
-        t = exps @ np.where(zero, 0, logs).T
+        # Each exponent is at most q - 1 and each log below it, so every
+        # sum of the exponent product is below m(q-1)^2: exact in float64
+        # BLAS below 2^53, and held in int32, whose modulo is faster, when
+        # below 2^31.
+        bound = x.shape[1] * q1 * q1
+        if bound >= 1 << 53:
+            raise ValueError(f"{x.shape[1]} coordinates are too many for exact exponents")
+        t = exps.astype(np.float64) @ np.where(zero, 0, logs).T.astype(np.float64)
+        t = t.astype(np.int32 if bound < 1 << 31 else np.int64)
         t %= q1
         t[pos @ zero.T] = self._log[0]
         return self._exp.take(t)

@@ -28,6 +28,27 @@ from oracles import ref_matmul, ref_orthogonal, ref_rowspace, ref_rref
 # field multiplies through the same discrete-log tables.
 KERNEL_QS = [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 257, 1024]
 
+
+def plan_boundaries(field, limit: int = 70000) -> list[int]:
+    """Both sides of each inner dimension up to `limit` at which
+    `_product_plan` changes g, or at which the inner dimension first needs
+    a second chunk of L under the g in force there."""
+    plans = [exactla._product_plan(field.p, field.e, i) for i in range(1, limit + 2)]
+    out = set()
+    for i in range(1, limit + 1):
+        g, _, L = plans[i - 1]
+        if plans[i][0] != g or i == L:
+            out.update({i, i + 1})
+    return sorted(out)
+
+
+class ShapeOnly:
+    """An operand with a shape and no entries, for guards that must raise
+    before anything is allocated."""
+
+    def __init__(self, shape):
+        self.shape = shape
+
 # generator of the [4,2,3] self-dual ternary code: evaluations of x0, x1
 # at the standard projective representatives (1,0),(1,1),(1,2),(0,1)
 TETRA_G = [[1, 1, 1, 0], [0, 1, 2, 1]]
@@ -417,13 +438,27 @@ class TestMatMul:
             mat_mul(MatrixFq(f, [[1, 2]]), MatrixFq(f, [[1, 2]]))
 
     def test_inner_dimension_beyond_exact_float64_raises(self):
-        # inner * (p-1)^2 must stay below 2^52 for the float64 product to be exact
+        # The float64 products are exact at any inner dimension, taken L
+        # at a time; their lane sums are int64, so inner * (p-1)^2 must
+        # stay below 2^63. The operands carry only a shape, so nothing is
+        # allocated.
         f = field_make(65521)
-        inner = (1 << 52) // (65520 * 65520) + 1
-        A = MatrixFq(f, np.zeros((1, inner), dtype=np.int32))
-        B = MatrixFq(f, np.zeros((inner, 1), dtype=np.int32))
+        inner = (1 << 63) // (65520 * 65520) + 1
         with pytest.raises(DimensionMismatch):
-            mat_mul(A, B)
+            exactla._mat_mul_arrays(f, ShapeOnly((1, inner)), ShapeOnly((inner, 1)))
+
+    def test_old_float64_bound_no_longer_binds(self):
+        # inner * (p-1)^2 < 2^52 was the bound of one unpacked float64
+        # product. One past it, and one past the first chunk of L inner
+        # indices, all-(q-1) operands fill every lane to its bound.
+        q = 65521
+        f = field_make(q)
+        L = exactla._product_plan(q, 1, 1)[2]
+        for inner in ((1 << 52) // (65520 * 65520) + 1, L + 1):
+            A = np.full((1, inner), q - 1, dtype=np.int32)
+            B = np.full((inner, 1), q - 1, dtype=np.int32)
+            got = exactla._mat_mul_arrays(f, A, B)
+            assert got.tolist() == [[inner * (q - 1) ** 2 % q]], inner
 
     @pytest.mark.parametrize("q", [4, 8, 9, 27, 1024])
     def test_folded_digits_against_triple_loop(self, q):
@@ -467,18 +502,52 @@ class TestMatMul:
     def test_guard_counts_the_folded_digits(self):
         # Over GF(251^2) a folded digit sums up to
         # inner * 250^2 * 2 * (1 + 250), so this inner dimension is too
-        # large although inner * 250^2 alone is far below 2^52. The
-        # operands carry only a shape: a guard that let them through would
-        # fail on them at once instead of allocating gigabytes.
-        class ShapeOnly:
-            def __init__(self, shape):
-                self.shape = shape
-
+        # large although each convolution digit, inner * 250^2 * 2, is far
+        # below 2^63. The operands carry only a shape: a guard that let
+        # them through would fail on them at once instead of allocating.
         f = field_make(251 * 251)
-        inner = (1 << 52) // (250 * 250 * 2 * 251) + 1
-        assert inner * 250 * 250 < 1 << 52
+        inner = (1 << 63) // (250 * 250 * 2 * 251) + 1
+        assert inner * 250 * 250 * 2 < 1 << 63
         with pytest.raises(DimensionMismatch):
             exactla._mat_mul_arrays(f, ShapeOnly((1, inner)), ShapeOnly((inner, 1)))
+
+    @pytest.mark.parametrize("q", KERNEL_QS)
+    def test_plan_boundaries_against_triple_loop(self, q):
+        # Both sides of each inner dimension at which the packing changes g
+        # or needs a second chunk of L. All-(q-1) operands fill every lane
+        # to its bound; random ones mix digits across lanes. Over a prime
+        # field the first chunk, (2^53 - 1) // (p-1)^2 inner indices, is
+        # out of reach, and g is always 1.
+        f = field_make(q)
+        inners = plan_boundaries(f)
+        assert bool(inners) == (f.e > 1)
+        rng = np.random.default_rng(q)
+        for inner in inners:
+            for A, B in [
+                (np.full((1, inner), q - 1), np.full((inner, 2), q - 1)),
+                (rng.integers(0, q, size=(1, inner)), rng.integers(0, q, size=(inner, 2))),
+            ]:
+                assert np.array_equal(exactla._mat_mul_arrays(f, A, B), ref_matmul(f, A, B)), inner
+
+    @pytest.mark.parametrize("q", KERNEL_QS)
+    @pytest.mark.parametrize("step", [1, 5])
+    def test_column_blocks_across_chunks(self, q, step, monkeypatch):
+        # Blocks of `step` columns at an inner dimension past the first
+        # chunk where one is within reach (two chunks of L), else at 70.
+        f = field_make(q)
+        L = exactla._product_plan(f.p, f.e, 70)[2]
+        inner = L + 1 if L < 1000 else 70
+        rng = np.random.default_rng(q * 13 + step)
+        A = rng.integers(0, q, size=(3, inner)).astype(np.int32)
+        B = rng.integers(0, q, size=(inner, 11)).astype(np.int32)
+        monkeypatch.setattr(exactla, "_PRODUCT_COLUMNS", step)
+        assert np.array_equal(exactla._mat_mul_arrays(f, A, B), ref_matmul(f, A, B))
+
+    @pytest.mark.parametrize("p, e, inner", [(3, 2, 820), (2, 3, 585)])
+    def test_sweep_products_pack_every_digit(self, p, e, inner):
+        # The GF(9) and GF(8) products of the n = 3, k = 12 codes are one
+        # packed plane per element: g = e.
+        assert exactla._product_plan(p, e, inner)[0] == e
 
     def test_field_mismatch(self):
         with pytest.raises(FieldMismatch):
