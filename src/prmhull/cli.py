@@ -119,6 +119,13 @@ def _at_least(low: int):
     return parse
 
 
+def _add_formats(parser: argparse.ArgumentParser, csv_help: str) -> None:
+    """--json and --csv, two renderings of one payload: at most one is given."""
+    group = parser.add_mutually_exclusive_group()
+    group.add_argument("--json", action="store_true", help="emit a JSON payload")
+    group.add_argument("--csv", action="store_true", help=csv_help)
+
+
 def _parse_int_list(text: str, flag: str) -> tuple[int, ...]:
     items = [piece.strip() for piece in text.split(",") if piece.strip()]
     if not items:
@@ -503,6 +510,8 @@ def _sweep_table_line(row: dict) -> str:
 
 
 def cmd_sweep(args) -> int:
+    if args.out and not (args.json or args.csv):
+        raise UsageError("--out needs --json or --csv")
     k_policy = "all" if args.k.strip() == "all" else _parse_int_list(args.k, "--k")
     spec = SweepSpec(
         n_list=_parse_int_list(args.n, "--n"),
@@ -512,7 +521,7 @@ def cmd_sweep(args) -> int:
     )
     # opened before the first point, so a bad --out path fails at once
     handle = None
-    if args.out and (args.json or args.csv):
+    if args.out:
         try:
             handle = open(args.out, "w", newline="")
         except OSError as exc:
@@ -675,7 +684,7 @@ def _build_parser() -> argparse.ArgumentParser:
     enum = argparse.ArgumentParser(add_help=False)
     enum.add_argument(
         "--budget",
-        type=int,
+        type=_at_least(1),
         default=DEFAULT_BUDGET,
         help="largest q^K an enumeration may cover",
     )
@@ -723,9 +732,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_dual_check)
 
-    p = sub.add_parser(
-        "wenum", parents=[fmt, enum], help="exhaustive weight distribution"
-    )
+    p = sub.add_parser("wenum", parents=[enum], help="exhaustive weight distribution")
+    _add_formats(p, "emit weight,count rows")
     p.add_argument("--n", type=int, help="projective dimension")
     p.add_argument("--k", type=int, help="degree")
     p.add_argument("--q", type=int, help="field size (prime power)")
@@ -734,7 +742,6 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         help="enumerate the row span of a matrix in text format instead",
     )
-    p.add_argument("--csv", action="store_true", help="emit weight,count rows")
     p.add_argument(
         "--check-paper",
         action="store_true",
@@ -753,14 +760,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=_at_least(1), default=2, help="design strength t")
     p.set_defaults(func=cmd_design)
 
-    p = sub.add_parser(
-        "sweep", parents=[fmt], help="formula cross-validation over a grid"
-    )
+    p = sub.add_parser("sweep", help="formula cross-validation over a grid")
+    _add_formats(p, "emit CSV rows")
     p.add_argument("--n", default="1,2,3", help="comma-separated n values")
     p.add_argument("--q", default="2,3,4,5,7,8,9", help="comma-separated q values")
     p.add_argument("--k", default="all", help="'all' or comma-separated degrees")
-    p.add_argument("--csv", action="store_true", help="emit CSV rows")
-    p.add_argument("--out", default=None, help="write rows to this file")
+    p.add_argument(
+        "--out", default=None, help="write the --json or --csv rows to this file"
+    )
     p.add_argument(
         "--distances",
         type=_at_least(0),

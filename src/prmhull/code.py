@@ -80,17 +80,22 @@ class LinearCode:
 class HullReport:
     """Hull of a code computed two independent ways.
 
-    hull_basis is the canonical basis of the orthogonal complement of
-    C + C^⊥, the sum of the canonical bases of C and its dual; hull_dim
-    is its dimension. gram_rank comes from row-reducing G G^T.
+    The hull is (C + C^⊥)^⊥, where C + C^⊥ is the sum of the canonical
+    bases of C and its dual: hull_dim is its codimension, and hull_basis
+    is the canonical basis of its orthogonal complement, formed on first
+    read (the sum caches it). gram_rank comes from row-reducing G G^T.
     :func:`hull` raises InternalInconsistency unless
     hull_dim = K - gram_rank.
     """
 
-    def __init__(self, hull_basis: SubspaceBasis, hull_dim: int, gram_rank: int):
-        self.hull_basis = hull_basis
-        self.hull_dim = hull_dim
+    def __init__(self, span_sum: SubspaceBasis, gram_rank: int):
+        self._sum = span_sum
+        self.hull_dim = span_sum.ambient - span_sum.dim
         self.gram_rank = gram_rank
+
+    @property
+    def hull_basis(self) -> SubspaceBasis:
+        return self._sum.complement()
 
     def to_json(self, basis_monomials=None) -> dict:
         out = {"hull_dim": self.hull_dim, "gram_rank": self.gram_rank}
@@ -126,23 +131,22 @@ def hull(C: LinearCode) -> HullReport:
     """Hull = C ∩ C^⊥ = (C + C^⊥)^⊥, cross-checked against K - rank(G G^T).
 
     C + C^⊥ is the sum of the two canonical bases the code already holds,
-    so only the part of the smaller one outside the larger is row-reduced.
-    When one of C, C^⊥ contains the other, the sum is the larger basis
-    itself and its complement is the other, cached when the dual was
-    computed: the hull basis then costs no row reduction, and only the
-    independent check row-reduces G G^T.
+    so only the part of the smaller one outside the larger is row-reduced,
+    and the hull dimension is N - dim(C + C^⊥). The hull basis, the
+    complement of the sum, is row-reduced only when it is read; when one
+    of C, C^⊥ contains the other, the sum is the larger basis itself and
+    its complement is the other, cached when the dual was computed.
 
     Raises:
         InternalInconsistency: if the two computations disagree (a
         linear-algebra bug, not a property of the input).
     """
-    basis = (C.canonical() + dual(C).canonical()).complement()
-    gr = C.gram_rank()
-    if basis.dim != C.K - gr:
+    rep = HullReport(C.canonical() + dual(C).canonical(), C.gram_rank())
+    if rep.hull_dim != C.K - rep.gram_rank:
         raise InternalInconsistency(
-            f"hull dim {basis.dim} != K - rank(GG^T) = {C.K} - {gr}"
+            f"hull dim {rep.hull_dim} != K - rank(GG^T) = {C.K} - {rep.gram_rank}"
         )
-    return HullReport(basis, basis.dim, gr)
+    return rep
 
 
 def is_self_orthogonal(C: LinearCode) -> bool:

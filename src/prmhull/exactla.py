@@ -228,10 +228,11 @@ def _rref_array(field: Field, A: np.ndarray) -> tuple[np.ndarray, tuple[int, ...
 
     The one elimination loop of this module. D holds each entry's digits,
     rows x cols x digits, as the field splits them; over characteristic 2
-    its one digit is the index itself. A digit loses at most p - 1 per
-    pivot, so the trailing block is reduced every `interval` pivots,
-    before any digit can leave its dtype: int16 for digits below 256,
-    which keeps the interval at least 128 pivots, and int32 otherwise.
+    its one digit is the index itself, held as uint16, since XOR keeps
+    every index below q <= 2^16. A digit loses at most p - 1 per pivot,
+    so the trailing block is reduced every `interval` pivots, before any
+    digit can leave its dtype: int16 for digits below 256, which keeps
+    the interval at least 128 pivots, and int32 otherwise.
     A column with no nonzero entry in the unresolved rows holds no pivot,
     and the run of such columns after it is skipped at once. An all-zero
     A returns at once.
@@ -244,10 +245,8 @@ def _rref_array(field: Field, A: np.ndarray) -> tuple[np.ndarray, tuple[int, ...
     if lazy:
         digits, join = field.digits, field.from_digits
     else:
-        dtype = np.int16 if field.q <= 256 else np.int32
-
         def digits(x: np.ndarray) -> np.ndarray:
-            return x[..., None].astype(dtype, copy=False)
+            return x[..., None].astype(np.uint16, copy=False)
 
         def join(d: np.ndarray) -> np.ndarray:
             return d[..., 0].astype(np.int32)

@@ -17,7 +17,6 @@ import numpy as np
 
 from .code import (
     LinearCode,
-    contains_vector,
     dual,
     equal_codes,
     hull,
@@ -358,10 +357,10 @@ def verify_dual(C: PrmCode, base: PrmCode) -> tuple[bool, bool | None]:
     desc = dual_description(C.n, C.k, C.field.q)
     if (base.n, base.k, base.field) != (C.n, desc.ell, C.field):
         raise OutOfRange(f"the dual of {C.label} needs degree {desc.ell}, not {base.label}")
-    verified = equal_codes(dual(C), _described_dual(base, desc.adjoin_ones))
-    ones_outside = None
-    if desc.adjoin_ones and desc.ell >= 1:
-        ones_outside = not contains_vector(base, np.ones(C.N, dtype=np.int32))
+    described = _described_dual(base, desc.adjoin_ones)
+    verified = equal_codes(dual(C), described)
+    # span(1, base) is one dimension larger exactly when 1 is outside base
+    ones_outside = described.K > base.K if described is not base else None
     return verified, ones_outside
 
 

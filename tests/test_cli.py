@@ -277,6 +277,23 @@ def test_worker_counts_below_one_are_usage_errors(workers, capsys):
         assert "--workers: must be at least 1" in err, argv
 
 
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_budgets_below_one_are_usage_errors(budget, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setattr(cli, "prm_code", never)
+    monkeypatch.setattr(cli, "_selftest_steps", never)
+    for argv in (
+        ["wenum", "--n", "1", "--k", "1", "--q", "3"],
+        ["design", "--n", "1", "--k", "1", "--q", "3"],
+        ["selftest"],
+    ):
+        code, out, err = run(argv + ["--budget", budget], capsys)
+        assert code == EXIT_USAGE and out == "", argv
+        assert "--budget: must be at least 1" in err, argv
+
+
 def test_wenum_budget_exceeded_exits_3(capsys):
     code, _, err = run(
         ["wenum", "--n", "2", "--k", "2", "--q", "5", "--budget", "100"], capsys
@@ -593,6 +610,37 @@ def test_sweep_unwritable_out_fails_before_the_sweep(capsys, monkeypatch, tmp_pa
         assert err.startswith("error: cannot write --out file") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--n", "1", "--q", "3", "--json", "--csv"],
+        ["sweep", "--n", "1", "--q", "3", "--csv", "--json", "--out", "rows.out"],
+        ["wenum", "--n", "1", "--k", "1", "--q", "3", "--json", "--csv"],
+    ],
+)
+def test_json_and_csv_are_exclusive(argv, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setattr(cli, "run_sweep", never)
+    monkeypatch.setattr(cli, "prm_code", never)
+    code, out, err = run(argv, capsys)
+    assert code == EXIT_USAGE and out == ""
+    assert "not allowed with argument" in err
+
+
+def test_sweep_out_needs_json_or_csv(capsys, monkeypatch, tmp_path):
+    def never(*args, **kwargs):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(cli, "run_sweep", never)
+    path = tmp_path / "rows.out"
+    code, out, err = run(["sweep", "--n", "1", "--q", "3", "--out", str(path)], capsys)
+    assert code == EXIT_USAGE and out == ""
+    assert err == "error: --out needs --json or --csv\n"
+    assert not path.exists()
+
+
 def test_run_sweep_spec_validation():
     with pytest.raises(cli.UsageError):
         run_sweep(SweepSpec((), (3,), "all"))
@@ -605,9 +653,10 @@ def test_run_sweep_spec_validation():
 def test_sweep_row_reduces_each_code_once(monkeypatch):
     # Per point: the code (shared with the point of degree n(q-1) - k),
     # its dual, the rows the all-ones extension of the dual-side code and
-    # C + C^⊥ add to the larger canonical basis, the hull as the
-    # complement of that sum, and the two Gram matrices. No matrix is
-    # wider than the code is long.
+    # C + C^⊥ add to the larger canonical basis, and the two Gram
+    # matrices. The hull dimension is read off the sum, so its
+    # complement, the hull basis, is never formed. No matrix is wider
+    # than the code is long.
     real_rref = exactla._rref_array
     calls = []
 
@@ -628,7 +677,7 @@ def test_sweep_row_reduces_each_code_once(monkeypatch):
     monkeypatch.setattr(sweep, "_sweep_row", counting_row)
     _, summary = run_sweep(SweepSpec((1, 2), (2, 3, 4, 5), "all"))
     assert summary["points"] == len(per_point) > 0
-    assert max(len(widths) for _, widths in per_point) <= 7
+    assert max(len(widths) for _, widths in per_point) <= 6
     assert all(w <= N for N, widths in per_point for w in widths)
 
 

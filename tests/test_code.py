@@ -20,7 +20,7 @@ from prmhull.code import (
 from prmhull.errors import DimensionMismatch, FieldMismatch, InternalInconsistency
 from prmhull.exactla import MatrixFq, SubspaceBasis, mat_mul, transpose
 from prmhull.geometry import evaluate_rows, projective_points
-from prmhull.prm import prm_code
+from prmhull.prm import classification_report, prm_code
 
 
 def make_code(field, rows, label=""):
@@ -184,6 +184,42 @@ def test_hull_reduces_no_stacked_block(monkeypatch, n, k, q):
     if (n, k, q) == (3, 3, 3):
         assert (C.N, C.K, rep.hull_dim) == (40, 20, 20)
         assert rep.hull_basis is dual(C).canonical() and len(rows) == 2
+
+
+def test_hull_basis_is_row_reduced_only_when_read(monkeypatch):
+    # At (3, 12, 7) neither C ⊆ C^⊥ nor C^⊥ ⊆ C, so the hull basis is the
+    # complement of a sum S = C + C^⊥ that is neither canonical basis, and
+    # forming it row-reduces S's free-column basis: an identity in the
+    # columns outside S's pivots. Classification reads only the hull
+    # dimension, N - dim S, and never forms it.
+    f = field_make(7)
+    seen = []
+    real_rref = exactla._rref_array
+
+    def spy(field, A):
+        seen.append(A.copy())
+        return real_rref(field, A)
+
+    monkeypatch.setattr(exactla, "_rref_array", spy)
+    report = classification_report(f, 3, 12)
+    classified = len(seen)
+    C = prm_code(f, 3, 12)
+    S = C.canonical() + dual(C).canonical()
+    free = sorted(set(range(C.N)) - set(S.pivots))
+    assert 0 < len(free) == report.constructed["hull_dim"] < min(C.K, C.N - C.K)
+
+    def is_free_column_basis(A):
+        return A.shape == (len(free), C.N) and np.array_equal(
+            A[:, free], np.eye(len(free), dtype=A.dtype)
+        )
+
+    assert not any(is_free_column_basis(A) for A in seen[:classified])
+    rep = hull(C)
+    start = len(seen)
+    basis = rep.hull_basis
+    assert len(seen) == start + 1 and is_free_column_basis(seen[-1])
+    assert basis.dim == rep.hull_dim
+    assert rep.hull_basis is basis and len(seen) == start + 1  # cached
 
 
 def test_hull_report_json():

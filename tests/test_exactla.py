@@ -163,6 +163,17 @@ class TestRref:
         # p = 257 is the smallest prime whose digits are held as int32.
         assert_rref_is(*known_rref_product(257, 130, 120, 150, seed=257))
 
+    @pytest.mark.parametrize("q", [512, 65536])
+    def test_characteristic_2_indices_as_uint16(self, q):
+        # XOR keeps every index of GF(2^e) below 2^16, so one uint16 array
+        # holds any characteristic-2 matrix; at q = 65536 half the indices
+        # would be negative as int16.
+        f = field_make(q)
+        for seed in range(2):
+            M = random_matrix(q, 6, 9, seed=seed, deficient=True).a
+            assert_rref_matches_reference(f, M, seed)
+            assert_rref_matches_reference(f, sparse_matrix(q, 9, 6, seed=seed, density=0.5), seed)
+
     @pytest.mark.parametrize("q", KERNEL_QS)
     def test_all_zero_input_returns_at_once(self, q, monkeypatch):
         # No pivot search at all: np.nonzero is never called.

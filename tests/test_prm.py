@@ -235,6 +235,25 @@ def test_verify_dual_on_grid():
             assert ones_outside is (True if desc.adjoin_ones and desc.ell >= 1 else None)
 
 
+def test_verify_dual_reads_ones_outside_off_the_adjoin_sum():
+    # The all-ones word lies outside base exactly when adjoining it raises
+    # the dimension; contains_vector decides the same membership directly.
+    points = 0
+    for n, q in GRID:
+        if n > 2:
+            continue
+        f = field_make(q)
+        for k in all_k(n, q):
+            desc = dual_description(n, k, q)
+            if not (desc.adjoin_ones and desc.ell >= 1):
+                continue
+            base = prm_code(f, n, desc.ell)
+            _, ones_outside = verify_dual(prm_code(f, n, k), base)
+            assert ones_outside == (not contains_vector(base, np.ones(base.N, dtype=np.int32)))
+            points += 1
+    assert points > 0
+
+
 def test_verify_dual_rejects_a_base_of_another_degree():
     f = field_make(3)
     with pytest.raises(OutOfRange):
