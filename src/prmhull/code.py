@@ -81,9 +81,11 @@ class HullReport:
     """Hull of a code computed two independent ways.
 
     The hull is (C + C^⊥)^⊥, where C + C^⊥ is the sum of the canonical
-    bases of C and its dual: hull_dim is its codimension, and hull_basis
-    is the canonical basis of its orthogonal complement, formed on first
-    read (the sum caches it). gram_rank comes from row-reducing G G^T.
+    bases of C and its dual, computed or proven (:func:`adopt_dual`):
+    hull_dim is its codimension, and hull_basis is the canonical basis of
+    its orthogonal complement, formed on first read (the sum caches it)
+    unless the sum is C or C^⊥, whose complements are linked to each
+    other. gram_rank comes from row-reducing G G^T.
     :func:`hull` raises InternalInconsistency unless
     hull_dim = K - gram_rank.
     """
@@ -104,11 +106,30 @@ class HullReport:
         return out
 
 
+def _dual_fault(C: LinearCode, basis: SubspaceBasis) -> str | None:
+    """Why span(basis) is not C^⊥, or None if it is.
+
+    G·B^T = 0 puts span(B) inside C^⊥, and dim B = N - K = dim C^⊥ makes
+    the two equal: one exact product and one count prove the dual.
+    """
+    if mat_mul(C.G, transpose(basis.matrix)).a.any():
+        return "dual rows are not orthogonal to the generator rows"
+    if basis.dim != C.N - C.K:
+        return f"dual dimension {basis.dim} != N - K = {C.N} - {C.K}"
+    return None
+
+
+def _dual_label(C: LinearCode) -> str:
+    return f"dual({C.label})" if C.label else "dual"
+
+
 def dual(C: LinearCode) -> LinearCode:
     """The dual code, generated by the canonical basis of the complement.
 
     The result is cached on the code, so repeated calls (e.g. by hull
-    computation and an explicit duality check) share one kernel solve.
+    computation and an explicit duality check) share one kernel solve. A
+    dual proven by :func:`adopt_dual` is returned as cached, and no
+    complement is row-reduced.
 
     Raises:
         InternalInconsistency: if the complement is not orthogonal to C
@@ -116,15 +137,36 @@ def dual(C: LinearCode) -> LinearCode:
     """
     if C._dual is not None:
         return C._dual
-    D = LinearCode.from_basis(
-        C.canonical().complement(), label=f"dual({C.label})" if C.label else "dual"
-    )
-    if mat_mul(C.G, transpose(D.G)).a.any():
-        raise InternalInconsistency("dual rows are not orthogonal to the generator rows")
-    if D.K != C.N - C.K:
-        raise InternalInconsistency(f"dual dimension {D.K} != N - K = {C.N} - {C.K}")
-    C._dual = D
-    return D
+    basis = C.canonical().complement()
+    fault = _dual_fault(C, basis)
+    if fault is not None:
+        raise InternalInconsistency(fault)
+    C._dual = LinearCode.from_basis(basis, label=_dual_label(C))
+    return C._dual
+
+
+def adopt_dual(C: LinearCode, basis: SubspaceBasis) -> bool:
+    """Take a canonical basis as C's dual if it is proven to span C^⊥.
+
+    The proof is the one :func:`dual` applies to the complement: basis is
+    orthogonal to C's generator rows and has N - K rows. On success the
+    code of basis is cached as dual(C), and C's canonical basis and basis
+    become each other's orthogonal complement wherever that link is unset,
+    so a hull basis that is one of the two costs no row reduction. On
+    failure nothing is cached and dual(C) still forms the complement. A
+    code whose dual is already known compares canonical bases instead.
+
+    Raises:
+        FieldMismatch, DimensionMismatch: basis is over another field or
+        of another length.
+    """
+    if C._dual is not None:
+        return C._dual.canonical() == basis
+    if _dual_fault(C, basis) is not None:
+        return False
+    C._dual = LinearCode.from_basis(basis, label=_dual_label(C))
+    C.canonical().link_complement(basis)
+    return True
 
 
 def hull(C: LinearCode) -> HullReport:
@@ -135,7 +177,10 @@ def hull(C: LinearCode) -> HullReport:
     and the hull dimension is N - dim(C + C^⊥). The hull basis, the
     complement of the sum, is row-reduced only when it is read; when one
     of C, C^⊥ contains the other, the sum is the larger basis itself and
-    its complement is the other, cached when the dual was computed.
+    its complement is the other, linked when the dual was computed or
+    adopted. A dual adopted by :func:`adopt_dual` (as the sweep does from
+    the duality theorem) costs no row reduction here, so at a self-dual
+    point only G G^T is row-reduced.
 
     Raises:
         InternalInconsistency: if the two computations disagree (a

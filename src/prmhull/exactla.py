@@ -158,9 +158,16 @@ class SubspaceBasis:
                 comp = SubspaceBasis.from_matrix(MatrixFq(f, basis))
             else:
                 comp = SubspaceBasis(MatrixFq(f, basis), tuple(free))
-            comp._complement = self
-            self._complement = comp
+            self.link_complement(comp)
         return self._complement
+
+    def link_complement(self, other: "SubspaceBasis") -> None:
+        """Record other as this basis's orthogonal complement, and this as
+        other's, wherever none is recorded yet. The caller has proven it."""
+        if self._complement is None:
+            self._complement = other
+        if other._complement is None:
+            other._complement = self
 
     def __add__(self, other: "SubspaceBasis") -> "SubspaceBasis":
         """Canonical basis of the sum of the two row spaces.
@@ -170,12 +177,15 @@ class SubspaceBasis:
         sum is A itself. Otherwise R = RREF(B') brings new pivots, and
         A' = A - A[:, pivots(R)]·R clears them from A; the rows of A' and
         R, merged by pivot, are the RREF of the sum. Only B' is row-reduced,
-        never the stacked [A; B].
+        never the stacked [A; B]. A basis summed with itself is the sum, at
+        no cost: at a self-dual point C^⊥'s canonical basis is C's own.
         """
         if self.matrix.field != other.matrix.field:
             raise FieldMismatch(f"{self.matrix.field} vs {other.matrix.field}")
         if self.ambient != other.ambient:
             raise DimensionMismatch(f"ambient {self.ambient} vs {other.ambient}")
+        if other is self:
+            return self
         A, B = (self, other) if self.dim >= other.dim else (other, self)
         if B.dim == 0:
             return A

@@ -17,8 +17,7 @@ import numpy as np
 
 from .code import (
     LinearCode,
-    dual,
-    equal_codes,
+    adopt_dual,
     hull,
     is_lcd,
     is_self_dual,
@@ -349,7 +348,14 @@ def verify_dual(C: PrmCode, base: PrmCode) -> tuple[bool, bool | None]:
     """Check the duality theorem on a proper code C(n, k, q), given the
     degree-ell code `base` the caller already holds; nothing is built.
 
-    Returns (whether dual(C) is the described dual, whether the all-ones
+    The described dual is proven to be C^⊥ by orthogonality to C and
+    dimension N - K (:func:`adopt_dual`), and its canonical basis is then
+    cached as dual(C): no complement of C is row-reduced, and a later
+    hull(C) or dual(C) finds it. If C's dual is already known, the two
+    canonical bases are compared instead. If the check fails, nothing is
+    cached and dual(C) forms the complement.
+
+    Returns (whether the described dual is C^⊥, whether the all-ones
     word lies outside base); the second is None unless the all-ones row
     is adjoined to a code of positive degree. Raises OutOfRange if base
     is not the degree-ell code on the same space.
@@ -358,7 +364,7 @@ def verify_dual(C: PrmCode, base: PrmCode) -> tuple[bool, bool | None]:
     if (base.n, base.k, base.field) != (C.n, desc.ell, C.field):
         raise OutOfRange(f"the dual of {C.label} needs degree {desc.ell}, not {base.label}")
     described = _described_dual(base, desc.adjoin_ones)
-    verified = equal_codes(dual(C), described)
+    verified = adopt_dual(C, described.canonical())
     # span(1, base) is one dimension larger exactly when 1 is outside base
     ones_outside = described.K > base.K if described is not base else None
     return verified, ones_outside

@@ -2,10 +2,16 @@
 
 Each point builds the code C(n, k, q) and checks every closed form the
 package knows against a constructive computation: both dimension
-formulas against the rank, the duality description against the computed
-dual, the classification and hull dimension (shared with
-``classification_report``), hull(C) = hull(C^⊥) in dimension, the LCD
-witness, and optionally the minimum distance by exhaustive search.
+formulas against the rank, the duality description proven to be C^⊥ by
+orthogonality and dimension, the classification and hull dimension
+(shared with ``classification_report``), hull(C) = hull(C^⊥) in
+dimension, the LCD witness, and optionally the minimum distance by
+exhaustive search.
+
+The duality check runs first: once it holds, the described dual's
+canonical basis is C's dual, and the hull and the dual's own checks use
+it, so no complement of C is row-reduced. Where it fails, dual(C) forms
+the complement and the point reports the disagreement.
 """
 
 from __future__ import annotations
@@ -48,14 +54,13 @@ def _sweep_row(field, n: int, k: int, get_code) -> dict:
     """One grid point: the classification report plus the sweep's checks."""
     q = field.q
     C = get_code(k)
+    dual_ok, ones_outside = verify_dual(C, get_code(n * (q - 1) - k))
     report = classify_code(C)
     K_s = dim_sorensen(n, k, q)
     K_m = dim_mr(n, k, q)
     dims_ok = K_s == K_m == C.K
 
     D = dual(C)
-    dual_ok, ones_outside = verify_dual(C, get_code(n * (q - 1) - k))
-
     dual_hull_dim = D.K - D.gram_rank()
     witness_ok = None
     if k < n * (q - 1):

@@ -7,6 +7,10 @@ and the hull basis of the code PRM(n, k, q). The digests were recorded
 with the kernels that update every row at every pivot. Since the RREF of
 a row space is unique, a correct kernel reproduces them exactly.
 
+The same digests pin both routes to dual(C): the complement of C's
+canonical basis, and the described dual of the duality theorem, adopted
+by verify_dual as the sweep does.
+
 Points: the three n = 3, k = 12 points of the sweep-n3 benchmark
 (q = 7, 8, 9) and every proper point with n <= 2 and q in {2, 3, 4, 5}.
 """
@@ -21,7 +25,7 @@ import pytest
 
 from prmhull.code import dual, hull
 from prmhull.field import field_make
-from prmhull.prm import prm_code
+from prmhull.prm import prm_code, verify_dual
 
 DIGESTS = json.loads((Path(__file__).parent / "canonical_digests.json").read_text())
 
@@ -33,8 +37,11 @@ def basis_digest(basis) -> str:
     return h.hexdigest()
 
 
-def point_digests(n: int, k: int, q: int) -> dict[str, str]:
-    C = prm_code(field_make(q), n, k)
+def point_digests(n: int, k: int, q: int, adopted: bool = False) -> dict[str, str]:
+    f = field_make(q)
+    C = prm_code(f, n, k)
+    if adopted:
+        assert verify_dual(C, prm_code(f, n, n * (q - 1) - k))[0]
     return {
         "code": basis_digest(C.canonical()),
         "dual": basis_digest(dual(C).canonical()),
@@ -57,3 +64,8 @@ def test_pinned_grid_is_the_documented_one():
 @pytest.mark.parametrize("n,k,q", grid())
 def test_canonical_bases_are_pinned(n, k, q):
     assert point_digests(n, k, q) == DIGESTS[f"{n},{k},{q}"]
+
+
+@pytest.mark.parametrize("n,k,q", grid())
+def test_adopted_dual_bases_are_pinned(n, k, q):
+    assert point_digests(n, k, q, adopted=True) == DIGESTS[f"{n},{k},{q}"]

@@ -650,13 +650,27 @@ def test_run_sweep_spec_validation():
         run_sweep(SweepSpec((0,), (3,), "all"))
 
 
+def test_sweep_row_reports_a_wrong_described_dual(monkeypatch):
+    # If the duality theorem's code is not C^⊥, the point disagrees and
+    # its hull and dual come from the complement.
+    f = field_make(5)
+    monkeypatch.setattr(
+        prm, "_described_dual", lambda b, adjoin: prm_code(b.field, b.n, b.k + 1)
+    )
+    row = sweep._sweep_row(f, 2, 2, lambda k: prm_code(f, 2, k))
+    assert row["dual_verified"] is False and row["agree"] is False
+    assert row["constructed"]["hull_dim"] == row["dual_hull_dim"]
+
+
 def test_sweep_row_reduces_each_code_once(monkeypatch):
-    # Per point: the code (shared with the point of degree n(q-1) - k),
-    # its dual, the rows the all-ones extension of the dual-side code and
-    # C + C^⊥ add to the larger canonical basis, and the two Gram
-    # matrices. The hull dimension is read off the sum, so its
-    # complement, the hull basis, is never formed. No matrix is wider
-    # than the code is long.
+    # Per point: the code and the dual-side code of degree n(q-1) - k
+    # (each shared with another point), the rows the all-ones extension
+    # of the dual-side code and C + C^⊥ add to the larger canonical
+    # basis, and the two Gram matrices. When the duality theorem holds,
+    # the described dual is proven to be C^⊥ and its canonical basis is
+    # the dual's, so the dual costs no reduction; the hull dimension is
+    # read off the sum, so its complement, the hull basis, is never
+    # formed. No matrix is wider than the code is long.
     real_rref = exactla._rref_array
     calls = []
 
@@ -677,7 +691,7 @@ def test_sweep_row_reduces_each_code_once(monkeypatch):
     monkeypatch.setattr(sweep, "_sweep_row", counting_row)
     _, summary = run_sweep(SweepSpec((1, 2), (2, 3, 4, 5), "all"))
     assert summary["points"] == len(per_point) > 0
-    assert max(len(widths) for _, widths in per_point) <= 6
+    assert max(len(widths) for _, widths in per_point) <= 5
     assert all(w <= N for N, widths in per_point for w in widths)
 
 

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from prmhull import exactla, field_make
+from oracles import ref_orthogonal, ref_rowspace
 from prmhull.code import (
     LinearCode,
+    adopt_dual,
     code_from_rows,
     contains_vector,
     dual,
@@ -20,7 +22,7 @@ from prmhull.code import (
 from prmhull.errors import DimensionMismatch, FieldMismatch, InternalInconsistency
 from prmhull.exactla import MatrixFq, SubspaceBasis, mat_mul, transpose
 from prmhull.geometry import evaluate_rows, projective_points
-from prmhull.prm import classification_report, prm_code
+from prmhull.prm import classification_report, prm_code, verify_dual
 
 
 def make_code(field, rows, label=""):
@@ -112,6 +114,45 @@ def test_dual_rejects_wrong_complement(monkeypatch):
         dual(C)
 
 
+def test_adopt_dual_rejects_a_basis_that_is_not_the_dual():
+    # A candidate must be orthogonal to C and of dimension N - K; one that
+    # fails either test is not cached or linked, and dual(C) still forms
+    # the complement.
+    f5 = field_make(5)
+    C = make_code(f5, [[1, 2, 3, 4]])
+    not_orthogonal = SubspaceBasis.from_matrix(MatrixFq(f5, [[1, 0, 0, 0]]))
+    too_small = SubspaceBasis.from_matrix(MatrixFq(f5, [[3, 1, 0, 0]]))
+    for candidate in (not_orthogonal, too_small):
+        assert not adopt_dual(C, candidate)
+        assert C._dual is None
+        assert C.canonical()._complement is None and candidate._complement is None
+    assert ref_rowspace(f5, dual(C).G.a) == ref_orthogonal(f5, C.G.a)
+
+
+def test_adopt_dual_caches_a_proven_dual_and_links_complements():
+    f5 = field_make(5)
+    C = make_code(f5, [[1, 2, 3, 4]], label="c")
+    basis = SubspaceBasis.from_matrix(MatrixFq(f5, [[3, 1, 0, 0], [2, 0, 1, 0], [1, 0, 0, 1]]))
+    assert adopt_dual(C, basis)
+    D = dual(C)
+    assert D.canonical() is basis and D.label == "dual(c)"
+    assert C.canonical().complement() is basis and basis.complement() is C.canonical()
+    # With the dual known, a candidate is compared with it.
+    assert adopt_dual(C, SubspaceBasis.from_matrix(basis.matrix))
+    assert not adopt_dual(C, SubspaceBasis.from_matrix(MatrixFq(f5, [[3, 1, 0, 0]])))
+    assert dual(C) is D
+
+
+def test_adopt_dual_keeps_a_complement_already_formed():
+    f5 = field_make(5)
+    C = make_code(f5, [[1, 2, 3, 4]])
+    formed = C.canonical().complement()
+    basis = SubspaceBasis.from_matrix(formed.matrix)
+    assert adopt_dual(C, basis)
+    assert dual(C).canonical() is basis
+    assert C.canonical().complement() is formed and basis.complement() is C.canonical()
+
+
 # ---------------------------------------------------------------------------
 # hull
 
@@ -184,6 +225,28 @@ def test_hull_reduces_no_stacked_block(monkeypatch, n, k, q):
     if (n, k, q) == (3, 3, 3):
         assert (C.N, C.K, rep.hull_dim) == (40, 20, 20)
         assert rep.hull_basis is dual(C).canonical() and len(rows) == 2
+
+
+def test_hull_of_self_dual_code_after_adopted_dual_reduces_only_gram(monkeypatch):
+    # Once the sweep's duality check has adopted the [40, 20, 9] code's
+    # own canonical basis as its dual, C + C^⊥ is that basis, and so is
+    # its complement: hull() row-reduces only the all-zero G G^T, and
+    # reading the hull basis reduces nothing.
+    C = prm_code(field_make(3), 3, 3)
+    assert verify_dual(C, C) == (True, None)
+    assert dual(C).canonical() is C.canonical()
+    calls = []
+    real_rref = exactla._rref_array
+
+    def spy(field, A):
+        calls.append(A.copy())
+        return real_rref(field, A)
+
+    monkeypatch.setattr(exactla, "_rref_array", spy)
+    rep = hull(C)
+    assert len(calls) == 1 and calls[0].shape == (20, 20) and not calls[0].any()
+    assert rep.hull_basis is C.canonical() and len(calls) == 1
+    assert (rep.hull_dim, rep.gram_rank) == (20, 0)
 
 
 def test_hull_basis_is_row_reduced_only_when_read(monkeypatch):

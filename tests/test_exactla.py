@@ -649,6 +649,21 @@ class TestSum:
         assert a + b is a and b + a is a
         assert a + a is a
 
+    @pytest.mark.parametrize("q", [3, 8])
+    def test_a_basis_summed_with_itself_forms_no_product(self, q, monkeypatch):
+        a = SubspaceBasis.from_matrix(random_matrix(q, 4, 8, seed=q + 6))
+        twin = SubspaceBasis.from_matrix(a.matrix)
+        products = []
+        real = exactla._mat_mul_arrays
+
+        def spy(field, A, B):
+            products.append(A.shape)
+            return real(field, A, B)
+
+        monkeypatch.setattr(exactla, "_mat_mul_arrays", spy)
+        assert a + a is a and products == []
+        assert a + twin is a and len(products) == 1
+
     @pytest.mark.parametrize("q", KERNEL_QS)
     def test_sum_is_whole_space(self, q):
         # The unit vectors of the free columns complete any basis.

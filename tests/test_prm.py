@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 from oracles import ref_weight_distribution
-from prmhull import field_make
+from prmhull import field_make, prm
 from prmhull.code import contains_vector, dual, equal_codes, hull
 from prmhull.errors import OutOfRange
+from prmhull.exactla import SubspaceBasis
 from prmhull.geometry import num_projective_points, reduced_basis_monomials
 from prmhull.prm import (
     NO_CLOSED_FORM,
@@ -252,6 +253,39 @@ def test_verify_dual_reads_ones_outside_off_the_adjoin_sum():
             assert ones_outside == (not contains_vector(base, np.ones(base.N, dtype=np.int32)))
             points += 1
     assert points > 0
+
+
+def test_verify_dual_forms_no_complement(monkeypatch):
+    # The described dual is proven C^⊥ by orthogonality and dimension, so
+    # no complement is formed, and dual(C) then returns its basis.
+    formed = []
+    real_complement = SubspaceBasis.complement
+
+    def spy(self):
+        formed.append(self)
+        return real_complement(self)
+
+    monkeypatch.setattr(SubspaceBasis, "complement", spy)
+    for n, q in GRID:
+        f = field_make(q)
+        for k in all_k(n, q):
+            C = prm_code(f, n, k)
+            assert verify_dual(C, prm_code(f, n, n * (q - 1) - k))[0], (n, k, q)
+            dual(C)  # found cached, so it forms no complement either
+    assert formed == []
+
+
+def test_verify_dual_rejects_a_wrong_described_dual(monkeypatch):
+    # The degree-(ell + 1) code is not C^⊥; the check fails, caches
+    # nothing, and dual(C) falls back to the complement.
+    f = field_make(5)
+    C, base = prm_code(f, 2, 2), prm_code(f, 2, 6)
+    monkeypatch.setattr(
+        prm, "_described_dual", lambda b, adjoin: prm_code(b.field, b.n, b.k + 1)
+    )
+    assert verify_dual(C, base)[0] is False
+    assert C._dual is None
+    assert dual(C).canonical() == base.canonical()
 
 
 def test_verify_dual_rejects_a_base_of_another_degree():
