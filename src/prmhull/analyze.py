@@ -16,9 +16,13 @@ block of codewords, and each step scores the whole block against the
 running offset cur. The support of block + cur is the set of coordinates
 where the block differs from -cur, so the walk carries -cur and scores a
 step by one comparison and a count, with no field addition over the
-block; the per-step buffers are allocated once per walk. Codes over F_3
-use a packed representation: two bitplanes per word, where negation
-swaps the planes, and population counts for the Hamming weight.
+block; the per-step buffers are allocated once per walk. The generic
+block is allocated once and written in place, a row's q multiples at a
+time, each by one add in the block's own type: XOR over characteristic
+2, a sum and a conditional subtraction of p over a prime field, and a
+lookup in the q x q addition table over an odd extension field. Codes
+over F_3 use a packed representation: two bitplanes per word, where
+negation swaps the planes, and population counts for the Hamming weight.
 """
 
 from __future__ import annotations
@@ -247,19 +251,49 @@ def _unpack_support_words(words: tuple[int, ...]) -> tuple[int, ...]:
 # generic engine
 #
 # A block is an (N, n) array of n words, one per column, in the smallest
-# unsigned type that holds q - 1.
+# unsigned type that holds q - 1; over a prime field, 2(q - 1), the largest
+# sum of two entries before it is reduced.
 
 
 def _block_generic(field, rows):
-    """All q^d combinations of the d rows, those of the last j rows first."""
-    dtype = np.min_scalar_type(field.q - 1)
-    block = np.zeros((rows.shape[1], 1), dtype=dtype)
-    for r in rows[::-1]:
-        parts = [
-            field.vadd(block, field.vmul(s, r)[:, None]).astype(dtype)
-            for s in range(field.q)
-        ]
-        block = np.concatenate(parts, axis=1)
+    """All q^d combinations of the d rows, those of the last j rows first.
+
+    The block is allocated once and filled in place. Its first q columns
+    are the multiples of the last row; then, with the combinations of the
+    last j rows in its first n = q^j columns, columns s*n..(s+1)*n become
+    those plus s times the row before them, one add per scalar s in the
+    block's own type: XOR over characteristic 2, a sum and one conditional
+    subtraction over a prime field, and a lookup in the q x q addition
+    table over an odd extension field.
+    """
+    q, p, e = field.q, field.p, field.e
+    N, d = rows.shape[1], len(rows)
+    dtype = np.min_scalar_type(2 * (q - 1) if e == 1 else q - 1)
+    block = np.zeros((N, q**d), dtype=dtype)
+    if d:
+        for s in range(1, q):
+            block[:, s] = field.vmul(s, rows[-1])
+    if p != 2 and e > 1 and d > 1:
+        # entry [a*q + b] is a + b; a block of two rows or more has at
+        # least its q^2 columns, while one row needs no sums at any q
+        i = np.arange(q)
+        table = field.vadd(i[:, None], i).astype(dtype).ravel()
+    n = q
+    for r in rows[-2::-1]:
+        done = block[:, :n]
+        multiples = field.vmul(np.arange(q)[:, None], r).astype(dtype)
+        for s in range(1, q):
+            part, sr = block[:, s * n : (s + 1) * n], multiples[s][:, None]
+            if p == 2:
+                np.bitwise_xor(done, sr, out=part)
+            elif e == 1:
+                # a sum lies in 0..2p-2; below p, subtracting p wraps
+                # above it, so the minimum is the reduced sum
+                np.add(done, sr, out=part)
+                np.minimum(part, part - dtype.type(p), out=part)
+            else:
+                np.take(table, done + q * sr.astype(np.intp), out=part)
+        n *= q
     return block
 
 

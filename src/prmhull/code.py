@@ -110,9 +110,12 @@ def _dual_fault(C: LinearCode, basis: SubspaceBasis) -> str | None:
     """Why span(basis) is not C^⊥, or None if it is.
 
     G·B^T = 0 puts span(B) inside C^⊥, and dim B = N - K = dim C^⊥ makes
-    the two equal: one exact product and one count prove the dual.
+    the two equal: one exact product and one count prove the dual. When B
+    is C's own canonical basis, it spans C, so G·B^T = 0 exactly when
+    G·G^T = 0, and the code's Gram matrix is the product.
     """
-    if mat_mul(C.G, transpose(basis.matrix)).a.any():
+    product = C.gram() if basis is C.canonical() else mat_mul(C.G, transpose(basis.matrix))
+    if product.a.any():
         return "dual rows are not orthogonal to the generator rows"
     if basis.dim != C.N - C.K:
         return f"dual dimension {basis.dim} != N - K = {C.N} - {C.K}"
@@ -149,7 +152,9 @@ def adopt_dual(C: LinearCode, basis: SubspaceBasis) -> bool:
     """Take a canonical basis as C's dual if it is proven to span C^⊥.
 
     The proof is the one :func:`dual` applies to the complement: basis is
-    orthogonal to C's generator rows and has N - K rows. On success the
+    orthogonal to C's generator rows and has N - K rows. When basis is C's
+    own canonical basis, as at a self-dual point, the orthogonality is
+    read from the Gram matrix G G^T, which hull() needs anyway. On success the
     code of basis is cached as dual(C), and C's canonical basis and basis
     become each other's orthogonal complement wherever that link is unset,
     so a hull basis that is one of the two costs no row reduction. On

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -100,6 +101,65 @@ def test_packed_and_generic_paths_agree():
         packed = weight_distribution(C)
         generic = generic_scan(C)[0]
         assert packed.counts.tolist() == generic.tolist()
+
+
+@pytest.mark.parametrize("q", [2, 4, 5, 7, 8, 9, 16, 25, 27, 131, 251, 257])
+def test_generic_block_matches_scalar_reference(q):
+    # Column j holds the message whose base-q digits are j, the last row
+    # least significant. Two rows with no zero entry sum two nonzero
+    # multiples at every coordinate, so each pair of field elements is
+    # added: over F_131 and F_251 sums reach 2(p - 1), past 255.
+    f = field_make(q)
+    rng = np.random.default_rng(q)
+    rows = rng.integers(1, q, size=(2, 4))
+    block = analyze._block_generic(f, rows)
+    assert block.shape == (4, q * q)
+    times = [[[f.mul(c, int(x)) for x in row] for c in range(q)] for row in rows]
+    expected = np.array(
+        [
+            [f.add(a, b) for a, b in zip(times[0][j // q], times[1][j % q])]
+            for j in range(q * q)
+        ]
+    ).T
+    assert np.array_equal(block, expected)
+
+
+def test_prime_field_sums_past_a_byte_are_exact():
+    C = make_code(131, [[1, 2, 130, 77], [0, 1, 129, 5]])
+    expected = ref_weight_distribution(C.field, C.G.a)
+    assert weight_distribution(C).counts.tolist() == expected
+    assert min_distance(C) == next(w for w in range(1, C.N + 1) if expected[w])
+
+
+@pytest.mark.parametrize(
+    "n,k,q,bound", [(3, 2, 5, 1.5), (3, 2, 4, 1.5), (2, 2, 7, 1.5), (2, 2, 8, 1.5), (2, 2, 9, 2.5)]
+)
+def test_generic_block_is_built_in_place(n, k, q, bound):
+    # The block is allocated once; building it needs little beyond it:
+    # a part of it per add (1/q of it), or over an odd extension field
+    # the part's 8-byte table indices.
+    C = prm_code(field_make(q), n, k)
+    rows = C.G.a[C.K - analyze._inner_depth(q, C.K - 1, C.N) :]
+    tracemalloc.start()
+    try:
+        block = analyze._block_generic(C.field, rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert block.shape[1] >= q**2 and peak < bound * block.nbytes
+
+
+def test_one_row_generic_block_builds_no_addition_table():
+    # One row needs no sums, so over GF(3^7) no 2187 x 2187 table is built.
+    f = field_make(3**7)
+    rows = np.array([[1, 2, 3, 2186]])
+    tracemalloc.start()
+    try:
+        block = analyze._block_generic(f, rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(block[:, 1], rows[0]) and peak < 2 * block.nbytes
 
 
 # One code per field with K >= 4 rows, so that with the inner blocks capped

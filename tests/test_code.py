@@ -23,6 +23,7 @@ from prmhull.errors import DimensionMismatch, FieldMismatch, InternalInconsisten
 from prmhull.exactla import MatrixFq, SubspaceBasis, mat_mul, transpose
 from prmhull.geometry import evaluate_rows, projective_points
 from prmhull.prm import classification_report, prm_code, verify_dual
+from prmhull.sweep import SweepSpec, run_sweep
 
 
 def make_code(field, rows, label=""):
@@ -151,6 +152,37 @@ def test_adopt_dual_keeps_a_complement_already_formed():
     assert adopt_dual(C, basis)
     assert dual(C).canonical() is basis
     assert C.canonical().complement() is formed and basis.complement() is C.canonical()
+
+
+def test_adopt_dual_of_its_own_basis_reads_the_gram_matrix(monkeypatch):
+    # At the self-dual sweep point (3, 12, 9) the described dual is C
+    # itself: adopting C's canonical basis reads orthogonality from G G^T,
+    # which the hull needs anyway, so the point forms two 410 x 820 x 410
+    # products (C's and the dual code's Gram matrix), not three.
+    shapes = []
+    real_mul = exactla._mat_mul_arrays
+
+    def spy(field, A, B):
+        shapes.append((A.shape, B.shape))
+        return real_mul(field, A, B)
+
+    monkeypatch.setattr(exactla, "_mat_mul_arrays", spy)
+    rows, _ = run_sweep(SweepSpec((3,), (9,), (12,)))
+    assert rows[0]["agree"] and rows[0]["constructed"]["hull_dim"] == 410
+    assert shapes.count(((410, 820), (820, 410))) == 2
+
+
+def test_adopt_dual_of_its_own_basis_needs_a_self_orthogonal_code():
+    # C's own canonical basis has N - K rows when 2K = N, but it is C^⊥
+    # only if G G^T = 0; otherwise nothing is cached or linked.
+    f5 = field_make(5)
+    C = make_code(f5, [[1, 0, 1, 0], [0, 1, 0, 1]])
+    assert C.gram().a.any() and 2 * C.K == C.N
+    assert not adopt_dual(C, C.canonical())
+    assert C._dual is None and C.canonical()._complement is None
+    assert ref_rowspace(f5, dual(C).G.a) == ref_orthogonal(f5, C.G.a)
+    T = tetracode()
+    assert adopt_dual(T, T.canonical()) and dual(T).canonical() is T.canonical()
 
 
 # ---------------------------------------------------------------------------
