@@ -411,33 +411,36 @@ def _run_piece(piece):
     return _worker_scan.run(piece)
 
 
-def _check_budget(C: LinearCode, budget: int) -> int:
-    total = C.field.q**C.K
-    if total > budget:
-        raise BudgetExceeded(f"{total} messages exceed budget {budget}")
-    return total
-
-
-def _check_workers(workers: int) -> None:
-    if workers < 1:
-        raise OutOfRange(f"workers must be >= 1; got {workers}")
-
-
-def _scan_parallel(C: LinearCode, target_w, workers: int, stop_at=None):
+def _scan(C: LinearCode, target_w, budget: int, workers: int = 1, stop_at=None):
     """(A_0..A_N, weight-target_w supports) from one word per scalar class.
 
-    Scalar multiples share weight and support, so the scan visits the
-    (q^K - 1)/(q - 1) messages whose first nonzero symbol is 1 and
-    rebuilds A_0 = 1, A_w = (q - 1) * count. `stop_at` (one worker
-    only) ends the scan at the first block of words that holds a word of
-    weight below it.
+    The one entry point of every scan. It checks the worker count, then
+    the budget, then the weight. Scalar multiples share weight and
+    support, so the scan visits the (q^K - 1)/(q - 1) messages whose
+    first nonzero symbol is 1 and rebuilds A_0 = 1, A_w = (q - 1) * count.
+    `stop_at` (one worker only) ends the scan at the first block of words
+    that holds a word of weight below it; a scan it does not cut short
+    must count all q^K messages.
+
+    Raises:
+        OutOfRange: if workers < 1 or target_w is not in 1..N.
+        BudgetExceeded: if q^K > budget.
+        InternalInconsistency: if a scan not cut short loses messages.
     """
+    if workers < 1:
+        raise OutOfRange(f"workers must be >= 1; got {workers}")
     q, K = C.field.q, C.K
+    total = q**K
+    if total > budget:
+        raise BudgetExceeded(f"{total} messages exceed budget {budget}")
+    if target_w is not None and not 0 < target_w <= C.N:
+        raise OutOfRange(f"weight must be in 1..{C.N}; got {target_w}")
     counts = np.zeros(C.N + 1, dtype=np.int64)
     sup = set() if target_w is not None else None
+    aborted = False
     if K:
         scan = _ClassScan(C.field, C.G.a, target_w)
-        if (q**K - 1) // (q - 1) < workers * _MIN_WORKER_STEPS:
+        if (total - 1) // (q - 1) < workers * _MIN_WORKER_STEPS:
             workers = 1
         pieces = _pieces(q, K, workers)
         if workers > 1:
@@ -455,6 +458,8 @@ def _scan_parallel(C: LinearCode, target_w, workers: int, stop_at=None):
                 break
     counts[1:] *= q - 1
     counts[0] = 1
+    if not aborted and int(counts.sum()) != total:
+        raise InternalInconsistency(f"enumerated {int(counts.sum())} of {total} messages")
     return counts, sup
 
 
@@ -480,12 +485,7 @@ def weight_distribution(
         OutOfRange: if workers < 1.
         BudgetExceeded: if q^K > budget.
     """
-    _check_workers(workers)
-    total = _check_budget(C, budget)
-    counts, _ = _scan_parallel(C, None, workers)
-    if int(counts.sum()) != total:
-        raise InternalInconsistency(f"enumerated {int(counts.sum())} of {total} messages")
-    return WeightDistribution(counts)
+    return WeightDistribution(_scan(C, None, budget, workers)[0])
 
 
 def min_distance(
@@ -504,12 +504,10 @@ def min_distance(
         BudgetExceeded: if q^K > budget.
         OutOfRange: if the code has no nonzero codeword.
     """
-    _check_budget(C, budget)
+    counts, _ = _scan(C, None, budget, stop_at=stop_at)
     if C.K == 0:
         raise OutOfRange("zero-dimensional code has no nonzero codeword")
-    counts, _ = _scan_parallel(C, None, 1, stop_at)
-    nz = np.flatnonzero(counts[1:])
-    return int(nz[0]) + 1
+    return int(np.flatnonzero(counts[1:])[0]) + 1
 
 
 def min_weight_supports(
@@ -549,13 +547,7 @@ def weight_distribution_with_supports(
         OutOfRange: if workers < 1 or w is not in 1..N.
         BudgetExceeded: if q^K > budget.
     """
-    _check_workers(workers)
-    total = _check_budget(C, budget)
-    if not 0 < w <= C.N:
-        raise OutOfRange(f"weight must be in 1..{C.N}; got {w}")
-    counts, sup = _scan_parallel(C, w, workers)
-    if int(counts.sum()) != total:
-        raise InternalInconsistency(f"enumerated {int(counts.sum())} of {total} messages")
+    counts, sup = _scan(C, w, budget, workers)
     return WeightDistribution(counts), BlockFamily(C.N, tuple(sorted(sup)))
 
 

@@ -4,7 +4,7 @@ Subcommands:
     params      closed-form parameters of the projective code at (n, k, q)
     classify    predicted vs measured self-dual / self-orthogonal / LCD
     hull        constructive hull vs the closed-form dimension and basis
-    dual-check  duality description verified by row-space equality
+    dual-check  duality description proven by orthogonality and dimension
     wenum       exhaustive weight distribution
     design      block design extracted from fixed-weight supports
     sweep       formula cross-validation over a parameter grid
@@ -329,6 +329,8 @@ def cmd_dual_check(args) -> int:
             f"dual of C(n={args.n}, k={args.k}, q={args.q}): "
             f"degree ell={desc.ell}, adjoin_ones={_yesno(desc.adjoin_ones)}"
         )
+        # The check is the proof by orthogonality and dimension; the label
+        # keeps its earlier wording so the text output stays byte-stable.
         print(f"row-space equality: {_yesno(verified)}")
         if ones_outside is not None:
             print(f"all-ones outside the degree-{desc.ell} base: {_yesno(ones_outside)}")
@@ -728,7 +730,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "dual-check",
         parents=[point, fmt],
-        help="verify the duality description by row-space equality",
+        help="prove the duality description by orthogonality and dimension",
     )
     p.set_defaults(func=cmd_dual_check)
 

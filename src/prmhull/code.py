@@ -44,7 +44,6 @@ class LinearCode:
         self._canonical = basis
         self._gram: MatrixFq | None = None
         self._gram_rank: int | None = None
-        self._dual: "LinearCode | None" = None
 
     @property
     def field(self) -> Field:
@@ -127,51 +126,53 @@ def _dual_label(C: LinearCode) -> str:
 
 
 def dual(C: LinearCode) -> LinearCode:
-    """The dual code, generated by the canonical basis of the complement.
+    """The dual code, generated by the complement of C's canonical basis.
 
-    The result is cached on the code, so repeated calls (e.g. by hull
-    computation and an explicit duality check) share one kernel solve. A
-    dual proven by :func:`adopt_dual` is returned as cached, and no
-    complement is row-reduced.
+    C^⊥ is held once, as that complement, which the basis caches: formed
+    here on first need and proven then, or linked by :func:`adopt_dual`
+    from a proven candidate, in which case no complement is row-reduced.
 
     Raises:
-        InternalInconsistency: if the complement is not orthogonal to C
-        or its dimension is not N - K (a linear-algebra bug).
+        InternalInconsistency: if a complement formed here is not
+        orthogonal to C or its dimension is not N - K (a linear-algebra
+        bug).
     """
-    if C._dual is not None:
-        return C._dual
+    known = C.canonical().complement_known()
     basis = C.canonical().complement()
-    fault = _dual_fault(C, basis)
-    if fault is not None:
-        raise InternalInconsistency(fault)
-    C._dual = LinearCode.from_basis(basis, label=_dual_label(C))
-    return C._dual
+    if not known:
+        fault = _dual_fault(C, basis)
+        if fault is not None:
+            raise InternalInconsistency(fault)
+    return LinearCode.from_basis(basis, label=_dual_label(C))
 
 
 def adopt_dual(C: LinearCode, basis: SubspaceBasis) -> bool:
     """Take a canonical basis as C's dual if it is proven to span C^⊥.
 
-    The proof is the one :func:`dual` applies to the complement: basis is
-    orthogonal to C's generator rows and has N - K rows. When basis is C's
-    own canonical basis, as at a self-dual point, the orthogonality is
-    read from the Gram matrix G G^T, which hull() needs anyway. On success the
-    code of basis is cached as dual(C), and C's canonical basis and basis
-    become each other's orthogonal complement wherever that link is unset,
-    so a hull basis that is one of the two costs no row reduction. On
-    failure nothing is cached and dual(C) still forms the complement. A
-    code whose dual is already known compares canonical bases instead.
+    If C^⊥ is already known, formed by :func:`dual` or linked by an
+    earlier adoption (as the sweep's mirrored point links it), the basis
+    is compared with it. Otherwise the proof is the one :func:`dual`
+    applies to the complement: basis is orthogonal to C's generator rows
+    and has N - K rows. When basis is C's own canonical basis, as at a
+    self-dual point, the orthogonality is read from the Gram matrix
+    G G^T, which hull() needs anyway. On success C's canonical basis and
+    basis become each other's orthogonal complement wherever that link is
+    unset, so dual(C), and a hull basis that is one of the two, cost no
+    row reduction. On failure nothing is linked, and dual(C) forms the
+    complement unless C^⊥ is already known.
 
     Raises:
         FieldMismatch, DimensionMismatch: basis is over another field or
-        of another length.
+        of another length, and C^⊥ is not yet known.
     """
-    if C._dual is not None:
-        return C._dual.canonical() == basis
-    if _dual_fault(C, basis) is not None:
-        return False
-    C._dual = LinearCode.from_basis(basis, label=_dual_label(C))
-    C.canonical().link_complement(basis)
-    return True
+    own = C.canonical()
+    if own.complement_known():
+        proven = own.complement() == basis
+    else:
+        proven = _dual_fault(C, basis) is None
+    if proven:
+        own.link_complement(basis)
+    return proven
 
 
 def hull(C: LinearCode) -> HullReport:

@@ -161,6 +161,10 @@ class SubspaceBasis:
             self.link_complement(comp)
         return self._complement
 
+    def complement_known(self) -> bool:
+        """Whether complement() is cached: formed, or linked by link_complement."""
+        return self._complement is not None
+
     def link_complement(self, other: "SubspaceBasis") -> None:
         """Record other as this basis's orthogonal complement, and this as
         other's, wherever none is recorded yet. The caller has proven it."""

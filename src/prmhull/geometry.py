@@ -119,10 +119,13 @@ def reduced_basis_monomials(n: int, k: int, q: int) -> list[Monomial]:
 
     Ordered by degree descending, then descending lexicographic. For
     1 <= k <= n(q-1) the count equals the code dimension; beyond that
-    range it saturates at the number of projective points.
+    range it saturates at the number of projective points. No reduced
+    monomial has degree above (n+1)(q-1), so the walk starts at the
+    largest such t, and its cost does not grow with k.
     """
     out: list[Monomial] = []
-    t = k
+    top = (n + 1) * (q - 1)
+    t = min(k, top - (top - k) % (q - 1))
     while t > 0:
         out.extend(_bounded_compositions(t, n + 1, q - 1))
         t -= q - 1

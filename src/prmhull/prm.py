@@ -350,10 +350,11 @@ def verify_dual(C: PrmCode, base: PrmCode) -> tuple[bool, bool | None]:
 
     The described dual is proven to be C^⊥ by orthogonality to C and
     dimension N - K (:func:`adopt_dual`), and its canonical basis is then
-    cached as dual(C): no complement of C is row-reduced, and a later
-    hull(C) or dual(C) finds it. If C's dual is already known, the two
-    canonical bases are compared instead. If the check fails, nothing is
-    cached and dual(C) forms the complement.
+    linked as the complement of C's: no complement of C is row-reduced,
+    and a later hull(C) or dual(C) finds it. If C^⊥ is already known
+    (the sweep's mirrored point links it), the two canonical bases are
+    compared instead. If the check fails, nothing is linked, and dual(C)
+    forms the complement unless C^⊥ is already known.
 
     Returns (whether the described dual is C^⊥, whether the all-ones
     word lies outside base); the second is None unless the all-ones row
@@ -379,28 +380,18 @@ def adjoin_ones(C: LinearCode, label: str = "") -> LinearCode:
     return LinearCode.from_basis(ones + C.canonical(), label=label)
 
 
+@dataclass
 class ClassificationReport:
     """Predicted vs constructed classification at one parameter point."""
 
-    def __init__(
-        self,
-        params: PrmParams,
-        N: int,
-        K: int,
-        D_formula: int,
-        predicted: dict,
-        constructed: dict,
-        agree: bool,
-        hull_dim_source: str,
-    ):
-        self.params = params
-        self.N = N
-        self.K = K
-        self.D_formula = D_formula
-        self.predicted = predicted
-        self.constructed = constructed
-        self.agree = agree
-        self.hull_dim_source = hull_dim_source
+    params: PrmParams
+    N: int
+    K: int
+    D_formula: int
+    predicted: dict
+    constructed: dict
+    agree: bool
+    hull_dim_source: str
 
     def to_json(self) -> dict:
         pred = dict(self.predicted)

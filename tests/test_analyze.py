@@ -236,7 +236,7 @@ def test_worker_counts_below_one_raise_before_any_work(workers, monkeypatch):
     def scan(*args):
         raise AssertionError("scanned")
 
-    monkeypatch.setattr(analyze, "_scan_parallel", scan)
+    monkeypatch.setattr(analyze, "_ClassScan", scan)
     C = prm_code(field_make(3), 1, 1)
     with pytest.raises(OutOfRange, match="workers"):
         weight_distribution(C, budget=1, workers=workers)
@@ -260,13 +260,22 @@ def test_pieces_balance_two_workers():
 
 def test_lost_messages_raise(monkeypatch):
     # A scan whose counts do not sum to q^K is a bug; the check must raise
-    # rather than assert, so it also runs under python -O.
-    lost = np.array([1, 0, 0, 7, 0], dtype=np.int64)  # tetracode has 9 words
-    monkeypatch.setattr(analyze, "_scan_parallel", lambda C, w, workers: (lost, set()))
-    with pytest.raises(InternalInconsistency):
+    # rather than assert, so it also runs under python -O. Dropping the
+    # first piece loses one of the tetracode's 4 scalar classes.
+    real_pieces = analyze._pieces
+    monkeypatch.setattr(analyze, "_pieces", lambda q, K, workers: real_pieces(q, K, workers)[1:])
+    with pytest.raises(InternalInconsistency, match="enumerated 7 of 9"):
         weight_distribution(tetracode())
     with pytest.raises(InternalInconsistency):
         min_weight_supports(tetracode(), 3)
+    # min_distance takes the same check, with no stop_at and with one the
+    # scan never reaches: no tetracode word has weight below 3.
+    for stop_at in (None, 3):
+        with pytest.raises(InternalInconsistency):
+            min_distance(tetracode(), stop_at=stop_at)
+    # A scan that stop_at cuts short counts only part of the classes by
+    # design, and does not raise: the witness has weight 3 < 4.
+    assert min_distance(tetracode(), stop_at=4) == 3
 
 
 def test_distribution_invariants():

@@ -240,6 +240,17 @@ def test_wenum_json_pairs(capsys):
     assert payload["polynomial"] == "x^4 + 8xy^3"
 
 
+def test_wenum_large_degree_is_the_full_space_at_once(capsys):
+    # Past n(q-1) the code is the whole space; degree 10^8 + 1 builds the
+    # same monomials as degree 3 without walking every degree below it.
+    pairs = []
+    for k in ("3", "100000001"):
+        code, out, _ = run(["wenum", "--n", "1", "--k", k, "--q", "3", "--json"], capsys)
+        assert code == EXIT_OK
+        pairs.append(json.loads(out)["pairs"])
+    assert pairs[0] == pairs[1] == [[0, 1], [1, 8], [2, 24], [3, 32], [4, 16]]
+
+
 def test_wenum_csv_rows(capsys):
     code, out, _ = run(
         ["wenum", "--n", "1", "--k", "1", "--q", "3", "--csv"], capsys
@@ -415,6 +426,23 @@ def test_only_field_reads_the_digit_encoding():
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
         if (isinstance(node, ast.Attribute) and node.attr in private)
         or (isinstance(node, ast.Constant) and node.value in private)
+    ]
+    assert found == []
+
+
+def test_only_exactla_holds_the_complement_link():
+    # C^⊥ is held once, as the complement cached on C's canonical basis:
+    # only exactla reads or writes that cache, and no module keeps a second
+    # copy of the dual on a code.
+    found = [
+        f"{path.name}:{node.lineno} {node.attr}"
+        for path in sorted(Path(cli.__file__).resolve().parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute)
+        and (
+            (node.attr == "_complement" and path.name != "exactla.py")
+            or (node.attr == "_dual" and isinstance(node.ctx, ast.Store))
+        )
     ]
     assert found == []
 

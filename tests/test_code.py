@@ -117,16 +117,15 @@ def test_dual_rejects_wrong_complement(monkeypatch):
 
 def test_adopt_dual_rejects_a_basis_that_is_not_the_dual():
     # A candidate must be orthogonal to C and of dimension N - K; one that
-    # fails either test is not cached or linked, and dual(C) still forms
-    # the complement.
+    # fails either test is not linked, and dual(C) still forms the
+    # complement.
     f5 = field_make(5)
     C = make_code(f5, [[1, 2, 3, 4]])
     not_orthogonal = SubspaceBasis.from_matrix(MatrixFq(f5, [[1, 0, 0, 0]]))
     too_small = SubspaceBasis.from_matrix(MatrixFq(f5, [[3, 1, 0, 0]]))
     for candidate in (not_orthogonal, too_small):
         assert not adopt_dual(C, candidate)
-        assert C._dual is None
-        assert C.canonical()._complement is None and candidate._complement is None
+        assert not C.canonical().complement_known() and not candidate.complement_known()
     assert ref_rowspace(f5, dual(C).G.a) == ref_orthogonal(f5, C.G.a)
 
 
@@ -141,7 +140,7 @@ def test_adopt_dual_caches_a_proven_dual_and_links_complements():
     # With the dual known, a candidate is compared with it.
     assert adopt_dual(C, SubspaceBasis.from_matrix(basis.matrix))
     assert not adopt_dual(C, SubspaceBasis.from_matrix(MatrixFq(f5, [[3, 1, 0, 0]])))
-    assert dual(C) is D
+    assert dual(C).canonical() is basis
 
 
 def test_adopt_dual_keeps_a_complement_already_formed():
@@ -150,7 +149,7 @@ def test_adopt_dual_keeps_a_complement_already_formed():
     formed = C.canonical().complement()
     basis = SubspaceBasis.from_matrix(formed.matrix)
     assert adopt_dual(C, basis)
-    assert dual(C).canonical() is basis
+    assert dual(C).canonical() is formed
     assert C.canonical().complement() is formed and basis.complement() is C.canonical()
 
 
@@ -172,14 +171,35 @@ def test_adopt_dual_of_its_own_basis_reads_the_gram_matrix(monkeypatch):
     assert shapes.count(((410, 820), (820, 410))) == 2
 
 
+def test_mirrored_sweep_point_reads_the_linked_dual(monkeypatch):
+    # Over GF(5) on P^2, points k = 3 and k = 5 are each other's described
+    # dual. Point 3 proves C(5) to be C(3)^⊥ by G·B^T = 0 and links the two
+    # canonical bases; point 5 compares its candidate with that link and
+    # forms no second orthogonality product.
+    shapes = []
+    real_mul = exactla._mat_mul_arrays
+
+    def spy(field, A, B):
+        shapes.append((A.shape, B.shape))
+        return real_mul(field, A, B)
+
+    separate = [run_sweep(SweepSpec((2,), (5,), (k,)))[0][0] for k in (3, 5)]
+    monkeypatch.setattr(exactla, "_mat_mul_arrays", spy)
+    rows, _ = run_sweep(SweepSpec((2,), (5,), (3, 5)))
+    assert rows == separate
+    assert len(shapes) == 13
+    proofs = [s for s in shapes if s in (((10, 31), (31, 21)), ((21, 31), (31, 10)))]
+    assert len(proofs) == 1
+
+
 def test_adopt_dual_of_its_own_basis_needs_a_self_orthogonal_code():
     # C's own canonical basis has N - K rows when 2K = N, but it is C^⊥
-    # only if G G^T = 0; otherwise nothing is cached or linked.
+    # only if G G^T = 0; otherwise nothing is linked.
     f5 = field_make(5)
     C = make_code(f5, [[1, 0, 1, 0], [0, 1, 0, 1]])
     assert C.gram().a.any() and 2 * C.K == C.N
     assert not adopt_dual(C, C.canonical())
-    assert C._dual is None and C.canonical()._complement is None
+    assert not C.canonical().complement_known()
     assert ref_rowspace(f5, dual(C).G.a) == ref_orthogonal(f5, C.G.a)
     T = tetracode()
     assert adopt_dual(T, T.canonical()) and dual(T).canonical() is T.canonical()

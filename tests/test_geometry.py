@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from prmhull import geometry
 from prmhull.field import field_make
 from prmhull.geometry import (
     affine_points,
@@ -167,6 +168,31 @@ class TestReducedBasisMonomials:
         N = num_projective_points(q, n)
         assert counts[top] == N  # k = n(q-1)+1: code is the whole space
         assert counts[top + 1] == N
+
+    def test_large_degree_starts_at_the_largest_reduced_degree(self, monkeypatch):
+        # No reduced monomial on P^1 over F_3 has degree above 4, so degree
+        # 10^9 + 1 walks t = 3, 1, as degree 3 does, and not t = 10^9 + 1, ...
+        want = reduced_basis_monomials(1, 3, 3)
+        real = geometry._bounded_compositions
+        calls = []
+
+        def counted(total, slots, bound):
+            calls.append(total)
+            if len(calls) > 2:
+                raise AssertionError(f"walked degrees {calls}")
+            return real(total, slots, bound)
+
+        monkeypatch.setattr(geometry, "_bounded_compositions", counted)
+        assert reduced_basis_monomials(1, 10**9 + 1, 3) == want
+        assert calls == [3, 1]
+
+    @pytest.mark.parametrize("q", SWEEP_Q)
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_large_degree_matches_its_class_below_the_top(self, q, n):
+        top = (n + 1) * (q - 1)
+        for k in range(top + 1, top + 3 * (q - 1)):
+            below = next(t for t in range(top, 0, -1) if (k - t) % (q - 1) == 0)
+            assert reduced_basis_monomials(n, k, q) == reduced_basis_monomials(n, below, q)
 
 
 class TestEvaluate:

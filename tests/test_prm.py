@@ -257,12 +257,14 @@ def test_verify_dual_reads_ones_outside_off_the_adjoin_sum():
 
 def test_verify_dual_forms_no_complement(monkeypatch):
     # The described dual is proven C^⊥ by orthogonality and dimension, so
-    # no complement is formed, and dual(C) then returns its basis.
+    # no complement is formed, and dual(C) then returns its basis: every
+    # complement read finds one already known.
     formed = []
     real_complement = SubspaceBasis.complement
 
     def spy(self):
-        formed.append(self)
+        if not self.complement_known():
+            formed.append(self)
         return real_complement(self)
 
     monkeypatch.setattr(SubspaceBasis, "complement", spy)
@@ -271,12 +273,13 @@ def test_verify_dual_forms_no_complement(monkeypatch):
         for k in all_k(n, q):
             C = prm_code(f, n, k)
             assert verify_dual(C, prm_code(f, n, n * (q - 1) - k))[0], (n, k, q)
-            dual(C)  # found cached, so it forms no complement either
+            assert C.canonical().complement_known(), (n, k, q)
+            dual(C)  # found linked, so it forms no complement either
     assert formed == []
 
 
 def test_verify_dual_rejects_a_wrong_described_dual(monkeypatch):
-    # The degree-(ell + 1) code is not C^⊥; the check fails, caches
+    # The degree-(ell + 1) code is not C^⊥; the check fails, links
     # nothing, and dual(C) falls back to the complement.
     f = field_make(5)
     C, base = prm_code(f, 2, 2), prm_code(f, 2, 6)
@@ -284,7 +287,7 @@ def test_verify_dual_rejects_a_wrong_described_dual(monkeypatch):
         prm, "_described_dual", lambda b, adjoin: prm_code(b.field, b.n, b.k + 1)
     )
     assert verify_dual(C, base)[0] is False
-    assert C._dual is None
+    assert not C.canonical().complement_known()
     assert dual(C).canonical() == base.canonical()
 
 
