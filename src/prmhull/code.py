@@ -129,21 +129,24 @@ def dual(C: LinearCode) -> LinearCode:
     """The dual code, generated by the complement of C's canonical basis.
 
     C^⊥ is held once, as that complement, which the basis caches: formed
-    here on first need and proven then, or linked by :func:`adopt_dual`
-    from a proven candidate, in which case no complement is row-reduced.
+    here on first need, proven, and only then linked; or linked by
+    :func:`adopt_dual` from a proven candidate, in which case no
+    complement is row-reduced. A complement that fails its proof is linked
+    to nothing, so the next call forms and proves it again.
 
     Raises:
         InternalInconsistency: if a complement formed here is not
         orthogonal to C or its dimension is not N - K (a linear-algebra
         bug).
     """
-    known = C.canonical().complement_known()
-    basis = C.canonical().complement()
-    if not known:
+    own = C.canonical()
+    if not own.complement_known():
+        basis = own.form_complement()
         fault = _dual_fault(C, basis)
         if fault is not None:
             raise InternalInconsistency(fault)
-    return LinearCode.from_basis(basis, label=_dual_label(C))
+        own.link_complement(basis)
+    return LinearCode.from_basis(own.complement(), label=_dual_label(C))
 
 
 def adopt_dual(C: LinearCode, basis: SubspaceBasis) -> bool:

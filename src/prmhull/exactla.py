@@ -3,19 +3,26 @@
 Matrices are numpy int32 arrays of element indices wrapped with their
 field. Row reduction picks pivots deterministically (first nonzero entry
 scanning top to bottom in the leftmost unresolved column) and runs one
-elimination loop for every field. At each pivot the distinct multiples
-of the pivot row are formed once (the one-row case of the M4RI table of
-pivot-row multiples), and each active row, with a nonzero
-pivot-column entry, is updated by a lookup into them and one
-subtraction: the active rows are gathered when they are fewer than half
-the rows, and the whole trailing block is updated in place otherwise.
+elimination loop for every field. At each pivot the multiples of the
+pivot row are formed once (the one-row case of the M4RI table of
+pivot-row multiples, Albrecht, Bard and Hart, ACM TOMS 37(1), 2010), and
+each active row, with a nonzero pivot-column entry, is updated by a
+lookup into them and one subtraction: the active rows are gathered when
+they are fewer than half the rows, and the whole trailing block is
+updated in place otherwise. Over a field with q <= 256, when the step
+updates at least q rows, the multiples are one `take` of the pivot row's
+columns from a q x q table of the field's products, built on first use
+and cached per field, and the pivot-column entries index them directly;
+otherwise the multiples of the distinct entries are formed by one field
+product.
 
 Subtraction is made cheap by how the matrix is held. Over characteristic
 2 it stays as indices and subtracts by XOR. Otherwise each entry is held
 as its base-p digits, split and joined only by the field's `digits` and
-`from_digits`, subtracted without reduction and reduced mod p only when
-a pivot column or row is read and every so many pivots, before any
-digit can leave its int16 (p < 256) or int32 range.
+`from_digits`, and subtracted without reduction: a pivot column or row
+is reduced mod p as it is read, and the trailing block in place every so
+many pivots, before any digit can leave its int16 (p < 256) or int32
+range.
 
 Elimination is avoided wherever a canonical basis is already known. The
 sum of two canonical bases reduces only the rows the smaller one adds to
@@ -37,6 +44,8 @@ characteristic 2 a digit is the parity of the lanes it folds, one
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -135,31 +144,36 @@ class SubspaceBasis:
         return cls(MatrixFq(M.field, R.a[:r]), pivots)
 
     def complement(self) -> "SubspaceBasis":
-        """Canonical basis of the orthogonal complement {x : b·x = 0 for all rows b}.
-
-        Row i of the free-column basis has a 1 in the i-th non-pivot
-        column, zeros in the other non-pivot columns, and minus that
-        column of the RREF in the pivot columns. It is reduced only in
-        reversed column order, so it is row-reduced once more, unless it
-        is the identity (this basis is 0) or has no rows.
+        """Canonical basis of the orthogonal complement, as formed by
+        :meth:`form_complement`.
 
         The result is cached on this instance, and this instance on the
         result, since (V^⊥)^⊥ = V: a second call, or the complement of
         the complement, costs nothing.
         """
         if self._complement is None:
-            f = self.matrix.field
-            pivots = set(self.pivots)
-            free = [c for c in range(self.ambient) if c not in pivots]
-            basis = np.zeros((len(free), self.ambient), dtype=np.int32)
-            basis[np.arange(len(free)), free] = 1
-            if self.dim and free:
-                basis[:, list(self.pivots)] = f.vneg(self.matrix.a[:, free].T)
-                comp = SubspaceBasis.from_matrix(MatrixFq(f, basis))
-            else:
-                comp = SubspaceBasis(MatrixFq(f, basis), tuple(free))
-            self.link_complement(comp)
+            self.link_complement(self.form_complement())
         return self._complement
+
+    def form_complement(self) -> "SubspaceBasis":
+        """Canonical basis of {x : b·x = 0 for all rows b}, formed afresh:
+        no cached complement is read, and the result is linked to nothing.
+
+        Row i of the free-column basis has a 1 in the i-th non-pivot
+        column, zeros in the other non-pivot columns, and minus that
+        column of the RREF in the pivot columns. It is reduced only in
+        reversed column order, so it is row-reduced once more, unless it
+        is the identity (this basis is 0) or has no rows.
+        """
+        f = self.matrix.field
+        pivots = set(self.pivots)
+        free = [c for c in range(self.ambient) if c not in pivots]
+        basis = np.zeros((len(free), self.ambient), dtype=np.int32)
+        basis[np.arange(len(free)), free] = 1
+        if self.dim and free:
+            basis[:, list(self.pivots)] = f.vneg(self.matrix.a[:, free].T)
+            return SubspaceBasis.from_matrix(MatrixFq(f, basis))
+        return SubspaceBasis(MatrixFq(f, basis), tuple(free))
 
     def complement_known(self) -> bool:
         """Whether complement() is cached: formed, or linked by link_complement."""
@@ -250,57 +264,76 @@ def _rref_array(field: Field, A: np.ndarray) -> tuple[np.ndarray, tuple[int, ...
     A column with no nonzero entry in the unresolved rows holds no pivot,
     and the run of such columns after it is skipped at once. An all-zero
     A returns at once.
+
+    A pivot reads its column and its row once each, reduced on the fly,
+    and takes the multiples of its row by one of two routes that feed the
+    same gather and subtraction. With the product table (q <= 256, and q
+    at most the number of rows the step updates) it takes all q multiples
+    of the row as read; the normalised row is the multiple by the inverse
+    of its leading entry, and the entries, scaled by that inverse, index
+    the multiples. Otherwise the row is normalised by one field product,
+    and the distinct entries, found by sort and compare, get their
+    multiples from one more. The rule keeps the table small (one for
+    q = 65536 could not be allocated) and no larger than the rows it
+    serves: at q = 243 a table read for few rows was slower than the
+    distinct multiples.
     """
     M = A.astype(np.int32, copy=True)
     if not M.any():
         return M, ()
     p, rows, cols = field.p, *M.shape
     lazy = p > 2
-    if lazy:
-        digits, join = field.digits, field.from_digits
-    else:
-        def digits(x: np.ndarray) -> np.ndarray:
-            return x[..., None].astype(np.uint16, copy=False)
-
-        def join(d: np.ndarray) -> np.ndarray:
-            return d[..., 0].astype(np.int32)
-
+    digits, join, read = _loop_codec(field)
     sub = np.subtract if lazy else np.bitwise_xor
     D = digits(M)  # rows x cols x digits
     interval = np.iinfo(D.dtype).max // (p - 1)
+    products = table = None
+    if field.q <= min(rows, _TABLE_MAX_Q):
+        products, table = _product_tables(field)
     pivots = []
     r = since_reduce = c = 0
     while c < cols and r < rows:
-        if lazy:
-            D[:, c] %= p
-        f = join(D[:, c])
-        nz = np.nonzero(f[r:])[0]
+        f = read(D[:, c])
+        nz = f[r:].nonzero()[0]
         if nz.size == 0:
             c = _next_live_column(D, r, c + 1, p if lazy else 0)
             continue
         i = int(nz[0]) + r
+        # Clears the pivot's entry, or after a swap that of the row moved
+        # to i; f[r] is 0 already then, as i is the first nonzero.
+        f[i] = 0
         if i != r:
-            D[[r, i]] = D[[i, r]]
-            f[[r, i]] = f[[i, r]]
-        if lazy:
-            D[r, c:] %= p
-        row = join(D[r, c:])
-        if row[0] != 1:
-            row = field.vmul(field.inv(int(row[0])), row)
-            D[r, c:] = digits(row)
-        f[r] = 0
-        act = np.flatnonzero(f)
+            # rows r.. are 0 mod p before column c, so only the rest moves
+            swapped = D[i, c:].copy()
+            D[i, c:] = D[r, c:]
+            D[r, c:] = swapped
+        row = read(D[r, c:])
+        act = f.nonzero()[0]
+        gather = 2 * act.size < rows
+        sel = act if gather else slice(None)
+        fs = f[sel]
+        if table is not None and field.q <= fs.size:
+            # the q multiples of the row as read, indexed by the entries
+            # scaled by the inverse of its leading entry
+            mult = table.take(row, axis=1)
+            if row[0] != 1:
+                inv = field.inv(int(row[0]))
+                D[r, c:] = mult[inv]
+                fs = products[inv].take(fs)
+        else:
+            if row[0] != 1:
+                row = field.vmul(field.inv(int(row[0])), row)
+                D[r, c:] = digits(row)
+            if act.size:
+                # Distinct entries by sort and compare: np.unique(f) (numpy
+                # 2.4) imports numpy.ma, about 40 ms, on its first call.
+                s = np.sort(fs)
+                vals = s[np.concatenate(([True], s[1:] != s[:-1]))]
+                mult = digits(field.vmul(vals[:, None], row[None, :]))
+                fs = np.searchsorted(vals, fs)
         if act.size:
-            gather = 2 * act.size < rows
-            sel = act if gather else slice(None)
-            fs = f[sel]
-            # Distinct entries by sort and compare: np.unique(f) (numpy 2.4)
-            # imports numpy.ma, about 40 ms, on its first call in a process.
-            s = np.sort(fs)
-            vals = s[np.concatenate(([True], s[1:] != s[:-1]))]
-            mult = digits(field.vmul(vals[:, None], row[None, :]))
             block = D[sel, c:]
-            sub(block, mult.take(np.searchsorted(vals, fs), axis=0), out=block)
+            sub(block, mult.take(fs, axis=0), out=block)
             if gather:
                 D[act, c:] = block
         pivots.append(c)
@@ -313,6 +346,48 @@ def _rref_array(field: Field, A: np.ndarray) -> tuple[np.ndarray, tuple[int, ...
     if lazy:
         D %= p
     return join(D), tuple(pivots)
+
+
+def _index_digit(x: np.ndarray) -> np.ndarray:
+    return x[..., None].astype(np.uint16, copy=False)
+
+
+def _index_join(d: np.ndarray) -> np.ndarray:
+    return d[..., 0].astype(np.int32)
+
+
+def _loop_codec(field: Field):
+    """(digits, join, read) of the elimination loop.
+
+    digits splits indices into the loop's digits and join joins reduced
+    digits back: the field's base-p split, or over characteristic 2 the
+    index itself as its one uint16 digit. read gives the indices of a
+    column or row of the loop's digits, which may be unreduced.
+    """
+    if field.p == 2:
+        return _index_digit, _index_join, _index_join
+    p = field.p
+    return field.digits, field.from_digits, lambda x: field.from_digits(x % p)
+
+
+# Fields with a product table: at most 0.6 MiB of digits (q = 243, e = 5)
+# beside 256 KiB of int32 indices (q = 256).
+_TABLE_MAX_Q = 256
+
+
+@functools.lru_cache(maxsize=None)
+def _product_tables(field: Field) -> tuple[np.ndarray, np.ndarray]:
+    """(products, table): entry [a, b] holds a*b as an index, q x q, and
+    as the loop's digits, q x q x digits.
+
+    Built from Field's public operations on first use and cached per
+    field, so importing the package builds none.
+    """
+    x = np.arange(field.q, dtype=np.int32)
+    products = field.vmul(x[:, None], x[None, :])
+    table = _loop_codec(field)[0](products)
+    products.flags.writeable = table.flags.writeable = False
+    return products, table
 
 
 def _next_live_column(D: np.ndarray, r: int, c: int, p: int) -> int:

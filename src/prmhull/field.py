@@ -151,7 +151,7 @@ class Field:
             c = prod[d] % p
             for t in range(e):
                 prod[d - e + t] -= c * self.modulus[t]
-        return self.from_digits(np.stack(prod[:e], axis=-1) % p)
+        return self.from_digits(np.moveaxis(np.stack(prod[:e]) % p, 0, -1))
 
     def _generator_powers(self) -> np.ndarray:
         """g^0, ..., g^(q-2) for the smallest index g that generates F_q^*.
@@ -223,7 +223,15 @@ class Field:
         return self._digit_table.take(x, axis=0)
 
     def from_digits(self, d: np.ndarray) -> np.ndarray:
-        """int32 indices of the reduced digits d (last axis), by Horner's rule."""
+        """int32 indices of the reduced digits d (last axis), by Horner's rule.
+
+        A Horner step reads one digit of every entry: one contiguous plane
+        when the digits are held digit-major, as the int64 sums of an exact
+        product and of _poly_mul are, and a strided pass over digits from
+        digits(), which are int16 or int32. Over those, every contiguous
+        join tried (an integer matmul with the powers of p, a digit-major
+        copy, a blocked Horner) was slower.
+        """
         out = d[..., -1].astype(np.int32)
         for t in range(self.e - 2, -1, -1):
             out *= self.p

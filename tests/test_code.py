@@ -102,17 +102,35 @@ def test_tetracode_is_its_own_dual():
 
 
 def test_dual_rejects_wrong_complement(monkeypatch):
-    # dual() checks the complement it is handed; both invariants must raise
+    # dual() checks the complement it forms; both invariants must raise
     # (not assert), so the checks also run under python -O.
     C = make_code(field_make(5), [[1, 2, 3, 4]])
     not_orthogonal = SubspaceBasis.from_matrix(MatrixFq(C.field, [[1, 0, 0, 0]]))
-    monkeypatch.setattr(SubspaceBasis, "complement", lambda self: not_orthogonal)
+    monkeypatch.setattr(SubspaceBasis, "form_complement", lambda self: not_orthogonal)
     with pytest.raises(InternalInconsistency, match="orthogonal"):
         dual(C)
     too_small = SubspaceBasis.from_matrix(MatrixFq(C.field, [[3, 1, 0, 0]]))
-    monkeypatch.setattr(SubspaceBasis, "complement", lambda self: too_small)
+    monkeypatch.setattr(SubspaceBasis, "form_complement", lambda self: too_small)
     with pytest.raises(InternalInconsistency, match="dimension"):
         dual(C)
+
+
+def test_dual_links_a_complement_only_once_it_is_proven(monkeypatch):
+    # A formed complement that fails its proof is linked to nothing: a
+    # second dual(C) forms and proves again instead of returning it.
+    f5 = field_make(5)
+    C = make_code(f5, [[1, 2, 3, 4]])
+    not_orthogonal = SubspaceBasis.from_matrix(MatrixFq(f5, np.eye(3, 4, dtype=np.int32)))
+    monkeypatch.setattr(SubspaceBasis, "form_complement", lambda self: not_orthogonal)
+    for _ in range(2):
+        with pytest.raises(InternalInconsistency, match="orthogonal"):
+            dual(C)
+        assert not C.canonical().complement_known()
+        assert not not_orthogonal.complement_known()
+    monkeypatch.undo()
+    D = dual(C)
+    assert C.canonical().complement() is D.canonical()
+    assert ref_rowspace(f5, D.G.a) == ref_orthogonal(f5, C.G.a)
 
 
 def test_adopt_dual_rejects_a_basis_that_is_not_the_dual():

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -176,16 +180,17 @@ class TestRref:
 
     @pytest.mark.parametrize("q", KERNEL_QS)
     def test_all_zero_input_returns_at_once(self, q, monkeypatch):
-        # No pivot search at all: np.nonzero is never called.
+        # No pivot search at all: the matrix is never split into the
+        # loop's digits, which comes before the first column is read.
         calls = []
-        real_nonzero = np.nonzero
+        real_codec = exactla._loop_codec
 
-        def spy(x):
-            calls.append(np.shape(x))
-            return real_nonzero(x)
+        def spy(field):
+            calls.append(field)
+            return real_codec(field)
 
         zero = MatrixFq(field_make(q), np.zeros((410, 410), dtype=np.int32))
-        monkeypatch.setattr(np, "nonzero", spy)
+        monkeypatch.setattr(exactla, "_loop_codec", spy)
         R, pivots, r = rref(zero)
         monkeypatch.undo()
         assert calls == []
@@ -240,15 +245,19 @@ class TestRref:
         row0 = rng.integers(1, q, size=cols).astype(np.int32)
         scale = rng.integers(1, q, size=rows).astype(np.int32)
         M = f.vadd(f.vmul(scale[:, None], row0[None, :]), W)
+        # Each update subtracts in place from the rows it reads: all of
+        # them, or the gathered active rows.
         fractions = []
-        real_flatnonzero = np.flatnonzero
 
-        def spy(x):
-            out = real_flatnonzero(x)
-            fractions.append(out.size / rows)
-            return out
+        def spy(real):
+            def sub(block, multiples, out):
+                fractions.append(out.shape[0] / rows)
+                return real(block, multiples, out=out)
 
-        monkeypatch.setattr(np, "flatnonzero", spy)
+            return sub
+
+        for name in ("subtract", "bitwise_xor"):
+            monkeypatch.setattr(np, name, spy(getattr(np, name)))
         R, pivots, r = rref(MatrixFq(f, M))
         monkeypatch.undo()
         assert max(fractions) >= 0.5 and 0 < min(fractions) < 0.5
@@ -300,6 +309,128 @@ class TestRref:
         before = M.a.copy()
         rref(M)
         assert np.array_equal(M.a, before)
+
+
+class TestPivotRowMultiples:
+    # A pivot reads all q multiples of its row from the field's product
+    # table when q <= 256 and q is at most the number of rows the step
+    # updates; otherwise it forms only the distinct ones, the one route
+    # that calls np.searchsorted. Both feed the same gather and subtract.
+
+    @staticmethod
+    def reduce(f, M, monkeypatch):
+        """(R, pivots, steps that formed the distinct multiples, whether the
+        product table was fetched)."""
+        distinct, fetched = [], []
+        real_search, real_tables = np.searchsorted, exactla._product_tables
+
+        def search(a, v, *args, **kwargs):
+            distinct.append(len(a))
+            return real_search(a, v, *args, **kwargs)
+
+        def tables(field):
+            fetched.append(field)
+            return real_tables(field)
+
+        monkeypatch.setattr(np, "searchsorted", search)
+        monkeypatch.setattr(exactla, "_product_tables", tables)
+        R, pivots, _ = rref(MatrixFq(f, M))
+        monkeypatch.undo()
+        return R.a, pivots, len(distinct), bool(fetched)
+
+    @staticmethod
+    def awkward_matrix(q, rows, cols, seed):
+        """Random entries, so most pivot rows need normalising, plus a zero
+        column, a repeated row and a row that is a multiple of another.
+        Rows 0 and 1 both have a nonzero first entry, so the first pivot
+        updates a row."""
+        f = field_make(q)
+        rng = np.random.default_rng(seed)
+        M = rng.integers(0, q, size=(rows, cols)).astype(np.int32)
+        M[:2, 0] = q - 1, 1
+        M[:, 3] = 0
+        if rows >= 4:
+            M[-1] = M[0]
+            M[-2] = f.vmul(max(1, q - 2), M[1])
+        return f, M
+
+    @pytest.mark.parametrize("q", KERNEL_QS[1:] + [243, 256])
+    def test_few_rows_form_the_distinct_multiples(self, q, monkeypatch):
+        # Fewer than q rows: no step updates q rows, so none reads the
+        # table. Over GF(2) only a step that gathers one row does so.
+        rows = min(q - 1, 12)
+        for seed in range(2):
+            f, M = self.awkward_matrix(q, rows, 14, seed=q + seed)
+            R, pivots, distinct, fetched = self.reduce(f, M, monkeypatch)
+            R_ref, pivots_ref = ref_rref(f, M)
+            assert np.array_equal(R, R_ref) and pivots == pivots_ref, seed
+            assert not fetched and distinct > 0, seed
+
+    @pytest.mark.parametrize("q", KERNEL_QS + [243, 256])
+    def test_many_rows_read_the_table(self, q, monkeypatch):
+        # q + 4 rows, so a step that updates them all reads the table if
+        # q <= 256; above it every step forms the distinct multiples.
+        rows = q + 4 if q <= 256 else 40
+        for seed in range(2):
+            f, M = self.awkward_matrix(q, rows, 12, seed=q + seed)
+            R, pivots, distinct, fetched = self.reduce(f, M, monkeypatch)
+            R_ref, pivots_ref = ref_rref(f, M)
+            assert np.array_equal(R, R_ref) and pivots == pivots_ref, seed
+            if q <= 256:
+                assert fetched and distinct < len(pivots), seed
+            else:
+                assert not fetched and distinct > 0, seed
+
+    @pytest.mark.parametrize("q", KERNEL_QS + [243, 256])
+    def test_many_rows_few_active_form_the_distinct_multiples(self, q, monkeypatch):
+        # q + 4 rows of which two are nonzero: each step gathers at most
+        # one row, fewer than q, so it forms the distinct multiples even
+        # where the table is at hand.
+        f, dense = self.awkward_matrix(q, 2, 12, seed=q)
+        M = np.zeros((q + 4, 12), dtype=np.int32)
+        M[[1, -2]] = dense
+        R, pivots, distinct, fetched = self.reduce(f, M, monkeypatch)
+        R_ref, pivots_ref = ref_rref(f, M)
+        assert np.array_equal(R, R_ref) and pivots == pivots_ref
+        assert fetched == (q <= 256) and distinct > 0
+
+    @pytest.mark.parametrize("rows", [200, 260])
+    def test_both_routes_across_the_reduction_interval(self, rows, monkeypatch):
+        # Over GF(251) int16 digits are reduced every 32767 // 250 = 131
+        # pivots; rank 140 crosses that once, with 200 rows (distinct
+        # multiples) and with 260 (the table).
+        f, M, R_expected, pivots_expected = known_rref_product(251, rows, 140, 150, seed=rows)
+        R, pivots, distinct, fetched = self.reduce(f, M, monkeypatch)
+        assert len(pivots) > np.iinfo(np.int16).max // (f.p - 1)
+        assert np.array_equal(R, R_expected) and pivots == pivots_expected
+        if rows < f.q:
+            assert not fetched and distinct > len(pivots) // 2
+        else:
+            assert fetched and distinct < len(pivots) // 2
+
+    def test_two_reductions_build_the_table_once(self):
+        exactla._product_tables.cache_clear()
+        f = field_make(7)
+        for seed in range(2):
+            M = random_matrix(7, 20, 20, seed=seed)
+            assert_rref_matches_reference(f, M.a, seed)
+        info = exactla._product_tables.cache_info()
+        assert info.misses == 1 and info.hits == 1 and info.currsize == 1
+
+    def test_import_builds_no_table(self):
+        script = (
+            "import prmhull\n"
+            "from prmhull import exactla\n"
+            "print(exactla._product_tables.cache_info().currsize)\n"
+        )
+        src = str(Path(exactla.__file__).resolve().parents[1])
+        paths = [src, os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(x for x in paths if x))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "0"
 
 
 class TestNullspace:

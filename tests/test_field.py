@@ -300,6 +300,22 @@ class TestDigitTable:
         grid = np.resize(x, (6, 10))
         assert np.array_equal(f.from_digits(f.digits(grid)), grid)
 
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 257, 1024, 65536])
+    def test_from_digits_joins_any_layout_and_width(self, q):
+        # Digits come digit-last from digits(), digit-major from the planes
+        # of an exact product, and int64 from its sums; every layout and
+        # width joins to the same int32 indices.
+        f = field_make(q)
+        x = np.random.default_rng(q).integers(0, q, size=(4, 6, 10))
+        for arr in (x[0, 0], x[0], x, x[:, ::2, 1::3], x.transpose(2, 0, 1)):
+            d = f.digits(arr)
+            planes = np.moveaxis(np.ascontiguousarray(np.moveaxis(d, -1, 0)), 0, -1)
+            spaced = np.repeat(d, 2, axis=-1)[..., ::2]
+            for digits in (d, d.astype(np.int64), planes, planes.astype(np.int64), spaced):
+                out = f.from_digits(digits)
+                label = (arr.shape, digits.dtype)
+                assert out.dtype == np.int32 and np.array_equal(out, arr), label
+
     @pytest.mark.parametrize("q", DIGIT_TABLE_QS)
     def test_table_is_read_only(self, q):
         f = field_make(q)
