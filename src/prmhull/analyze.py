@@ -6,8 +6,11 @@ visits one word per scalar class: the (q^K - 1)/(q - 1) messages whose
 first nonzero symbol is 1. Stratum i holds those whose first nonzero
 symbol sits at position i; it is G[i] plus every combination of the rows
 after it. The distribution is rebuilt as A_0 = 1 and A_w = (q - 1) times
-the count of weight w, and supports are collected once per class. Large
-strata are split into pieces of equal size for the worker processes.
+the count of weight w, and supports are collected once per class. One
+worker walks each stratum whole; only for a pool of worker processes
+are large strata cut into pieces of equal size, so that the workers
+finish close together. There is no second, full walk: the tests check
+counts and supports against brute-force oracles.
 
 Within a stratum, the walk runs over the free message symbols in
 reflected mixed-radix order, so each step changes one symbol by one
@@ -331,19 +334,6 @@ def _walk_generic(field, block, outer, offset, target_w, stop_at):
     return counts, supports, False
 
 
-def _scan_generic(field, G, offset, target_w, stop_at):
-    """Walk all q^K words offset + mG with the generic engine.
-
-    Returns (counts, supports, aborted). The class scan reaches the
-    generic engine through `_walk_generic`; this full walk is the
-    reference the tests hold the packed engine and the class scan to.
-    """
-    K, N = G.shape
-    d = _inner_depth(field.q, K, N)
-    block = _block_generic(field, G[K - d :])
-    return _walk_generic(field, block, G[: K - d], offset, target_w, stop_at)
-
-
 # ---------------------------------------------------------------------------
 # scalar classes, pieces, workers
 
@@ -353,9 +343,10 @@ class _ClassScan:
 
     A piece (i, digits) is the part of stratum i whose first len(digits)
     free symbols are fixed to `digits`: its words are G[i] plus those
-    digits times the next rows, plus every combination of the rest. The
-    inner block, shared by all pieces, holds the combinations of the
-    trailing rows; a piece with fewer free rows uses a prefix of it.
+    digits times the next rows, plus every combination of the rest; the
+    piece (i, ()) is the whole stratum. The inner block, shared by all
+    pieces, holds the combinations of the trailing rows; a piece with
+    fewer free rows uses a prefix of it.
     """
 
     def __init__(self, field, G, target_w):
@@ -380,7 +371,8 @@ class _ClassScan:
 
 
 def _pieces(q: int, K: int, workers: int) -> list[tuple[int, tuple[int, ...]]]:
-    """Pieces covering every scalar class once, largest first.
+    """Pieces for a pool of `workers` processes, covering every scalar
+    class once, largest first.
 
     Stratum i holds the q^(K-1-i) messages whose first nonzero symbol is
     a 1 at position i. A stratum of more than a quarter of one worker's
@@ -418,9 +410,10 @@ def _scan(C: LinearCode, target_w, budget: int, workers: int = 1, stop_at=None):
     the budget, then the weight. Scalar multiples share weight and
     support, so the scan visits the (q^K - 1)/(q - 1) messages whose
     first nonzero symbol is 1 and rebuilds A_0 = 1, A_w = (q - 1) * count.
-    `stop_at` (one worker only) ends the scan at the first block of words
-    that holds a word of weight below it; a scan it does not cut short
-    must count all q^K messages.
+    One worker walks each stratum whole; a pool takes the strata in the
+    pieces of `_pieces`. `stop_at` (one worker only) ends the scan at the
+    first block of words that holds a word of weight below it; a scan it
+    does not cut short must count all q^K messages.
 
     Raises:
         OutOfRange: if workers < 1 or target_w is not in 1..N.
@@ -442,14 +435,13 @@ def _scan(C: LinearCode, target_w, budget: int, workers: int = 1, stop_at=None):
         scan = _ClassScan(C.field, C.G.a, target_w)
         if (total - 1) // (q - 1) < workers * _MIN_WORKER_STEPS:
             workers = 1
-        pieces = _pieces(q, K, workers)
         if workers > 1:
             from multiprocessing import get_context
 
             with get_context("fork").Pool(workers, _init_worker, (scan,)) as pool:
-                parts = list(pool.imap_unordered(_run_piece, pieces))
+                parts = list(pool.imap_unordered(_run_piece, _pieces(q, K, workers)))
         else:
-            parts = (scan.run(piece, stop_at) for piece in pieces)
+            parts = (scan.run((i, ()), stop_at) for i in range(K))
         for c, s, aborted in parts:
             counts += c
             if sup is not None:

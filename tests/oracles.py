@@ -1,11 +1,14 @@
 """Independent reference implementations used as test oracles.
 
-Everything here is deliberately written in plain Python against field
-scalar operations only, with no shared code paths with the package's
-vectorized implementations. The field's scalar and vectorized products
-read the same discrete-log tables, so products have their own oracle,
-:func:`ref_mul`, which multiplies polynomials over F_p and never touches
-those tables; tests check the field's products against it.
+Everything here is deliberately written against field scalar operations
+only, with no shared code paths with the package's vectorized
+implementations, and this module imports nothing from the package. The
+scan oracles form their words through sum and product tables filled from
+the scalar operations; numpy only indexes those tables. The field's
+scalar and vectorized products read the same discrete-log tables, so
+products have their own oracle, :func:`ref_mul`, which multiplies
+polynomials over F_p and never touches those tables; tests check the
+field's products against it.
 """
 
 from __future__ import annotations
@@ -130,16 +133,33 @@ def ref_evaluate(exponents, points, q: int):
     return out
 
 
-def ref_weight_distribution(field, G):
-    """Exhaustive weight counts by enumerating all q^K messages."""
+def ref_words(field, G):
+    """All q^K words mG, one row per message, the last symbol fastest.
+
+    The words are formed through q x q sum and product tables filled from
+    the field's scalar add and mul; numpy only indexes those tables.
+    """
     G = np.asarray(G)
     K, N = G.shape
-    counts = [0] * (N + 1)
-    for msg in itertools.product(range(field.q), repeat=K):
-        word = [0] * N
-        for coef, row in zip(msg, G):
-            if coef:
-                for j in range(N):
-                    word[j] = field.add(word[j], field.mul(coef, int(row[j])))
-        counts[sum(1 for x in word if x)] += 1
-    return counts
+    q = field.q
+    add = np.array([[field.add(a, b) for b in range(q)] for a in range(q)])
+    mul = np.array([[field.mul(a, b) for b in range(q)] for a in range(q)])
+    msgs = np.array(list(itertools.product(range(q), repeat=K)), dtype=np.intp)
+    words = np.zeros((q**K, N), dtype=np.intp)
+    for coef, row in zip(msgs.reshape(q**K, K).T, G):
+        words = add[words, mul[coef[:, None], row]]
+    return words
+
+
+def ref_weight_distribution(field, G):
+    """Exhaustive weight counts over all q^K messages."""
+    words = ref_words(field, G)
+    weights = np.count_nonzero(words, axis=1)
+    return np.bincount(weights, minlength=words.shape[1] + 1).tolist()
+
+
+def ref_supports(field, G, w):
+    """Sorted supports of the weight-w words, over all q^K messages."""
+    words = ref_words(field, G)
+    words = words[np.count_nonzero(words, axis=1) == w]
+    return tuple(sorted({tuple(np.flatnonzero(x).tolist()) for x in words}))

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import prmhull.analyze as analyze
-from oracles import ref_weight_distribution
+from oracles import ref_supports, ref_weight_distribution
 from prmhull import field_make
 from prmhull.analyze import (
     NOT_A_DESIGN,
@@ -33,13 +33,6 @@ from prmhull.prm import min_dist_formula, prm_code
 
 def make_code(q, rows):
     return LinearCode(MatrixFq(field_make(q), np.array(rows, dtype=np.int32)))
-
-
-def generic_scan(C, target_w=None):
-    """(counts, supports) from the generic engine, the reference for the packed one."""
-    zero = np.zeros(C.N, dtype=np.int32)
-    counts, sup, _ = analyze._scan_generic(C.field, C.G.a, zero, target_w, None)
-    return counts, sup
 
 
 def tetracode():
@@ -84,7 +77,7 @@ def test_generic_walk_covers_extension_fields(q, monkeypatch):
         assert got.counts.tolist() == expected, workers
 
 
-def test_packed_and_generic_paths_agree():
+def test_packed_engine_matches_oracle():
     codes = [
         tetracode(),
         prm_code(field_make(3), 2, 1),
@@ -98,9 +91,8 @@ def test_packed_and_generic_paths_agree():
         rows = rng.integers(0, 3, size=(5, 70))  # multi-word packing
         codes.append(code_from_rows(field_make(3), rows))
     for C in codes:
-        packed = weight_distribution(C)
-        generic = generic_scan(C)[0]
-        assert packed.counts.tolist() == generic.tolist()
+        expected = ref_weight_distribution(C.field, C.G.a)
+        assert weight_distribution(C).counts.tolist() == expected, C
 
 
 @pytest.mark.parametrize("q", [2, 4, 5, 7, 8, 9, 16, 25, 27, 131, 251, 257])
@@ -181,12 +173,31 @@ def test_class_scan_matches_oracle(q, monkeypatch):
     assert analyze._inner_depth(q, C.K - 1, C.N) == 1 < C.K - 2
     expected = ref_weight_distribution(C.field, C.G.a)
     w = min_dist_formula(n, k, q)
-    reference_blocks = tuple(sorted(generic_scan(C, w)[1]))
+    reference_blocks = ref_supports(C.field, C.G.a, w)
     for workers in (1, 2, 3):
         dist, fam = analyze.weight_distribution_with_supports(C, w, workers=workers)
         assert dist.counts.tolist() == expected, workers
         assert fam.blocks == reference_blocks, workers
         assert weight_distribution(C, workers=workers).counts.tolist() == expected
+
+
+# Rows of random codes of nine coordinates with q^K at most about 1000.
+# Their supports are not every w-subset, as those of CLASS_SCAN_CODES at
+# q = 4..9 are, so a support recorded at permuted coordinates shows.
+ASYMMETRIC_ROWS = {2: 6, 3: 6, 4: 4, 5: 4, 7: 3, 8: 3, 9: 3, 16: 2, 25: 2}
+
+
+@pytest.mark.parametrize("q", sorted(ASYMMETRIC_ROWS))
+def test_class_scan_supports_on_asymmetric_codes(q, monkeypatch):
+    one_row_inner_blocks(monkeypatch)
+    rng = np.random.default_rng(q)
+    C = code_from_rows(field_make(q), rng.integers(0, q, size=(ASYMMETRIC_ROWS[q], 9)))
+    counts = ref_weight_distribution(C.field, C.G.a)
+    w = next(w for w in range(1, C.N + 1) if counts[w])
+    expected = ref_supports(C.field, C.G.a, w)
+    assert len(expected) < math.comb(C.N, w)
+    for workers in (1, 2):
+        assert min_weight_supports(C, w, workers=workers).blocks == expected, workers
 
 
 @pytest.mark.parametrize("q,n,k", [(3, 2, 2), (3, 1, 1), (4, 1, 3), (5, 1, 2), (2, 3, 1)])
@@ -261,21 +272,74 @@ def test_pieces_balance_two_workers():
 def test_lost_messages_raise(monkeypatch):
     # A scan whose counts do not sum to q^K is a bug; the check must raise
     # rather than assert, so it also runs under python -O. Dropping the
-    # first piece loses one of the tetracode's 4 scalar classes.
+    # last stratum's run on one worker, or the first piece on a pool,
+    # loses one of the tetracode's 4 scalar classes.
+    real_run = analyze._ClassScan.run
+
+    def run(self, piece, stop_at=None):
+        counts, sup, aborted = real_run(self, piece, stop_at)
+        if piece == (len(self.G) - 1, ()):
+            return np.zeros_like(counts), None if sup is None else set(), aborted
+        return counts, sup, aborted
+
+    with monkeypatch.context() as m:
+        m.setattr(analyze._ClassScan, "run", run)
+        with pytest.raises(InternalInconsistency, match="enumerated 7 of 9"):
+            weight_distribution(tetracode())
+        with pytest.raises(InternalInconsistency, match="enumerated 7 of 9"):
+            min_weight_supports(tetracode(), 3)
+        # min_distance takes the same check, with no stop_at and with one
+        # the scan never reaches: no tetracode word has weight below 3.
+        for stop_at in (None, 3):
+            with pytest.raises(InternalInconsistency, match="enumerated 7 of 9"):
+                min_distance(tetracode(), stop_at=stop_at)
+        # A scan that stop_at cuts short counts only part of the classes
+        # by design, and does not raise: the witness has weight 3 < 4.
+        assert min_distance(tetracode(), stop_at=4) == 3
+
     real_pieces = analyze._pieces
+    monkeypatch.setattr(analyze, "_MIN_WORKER_STEPS", 1)
     monkeypatch.setattr(analyze, "_pieces", lambda q, K, workers: real_pieces(q, K, workers)[1:])
     with pytest.raises(InternalInconsistency, match="enumerated 7 of 9"):
-        weight_distribution(tetracode())
-    with pytest.raises(InternalInconsistency):
-        min_weight_supports(tetracode(), 3)
-    # min_distance takes the same check, with no stop_at and with one the
-    # scan never reaches: no tetracode word has weight below 3.
-    for stop_at in (None, 3):
-        with pytest.raises(InternalInconsistency):
-            min_distance(tetracode(), stop_at=stop_at)
-    # A scan that stop_at cuts short counts only part of the classes by
-    # design, and does not raise: the witness has weight 3 < 4.
-    assert min_distance(tetracode(), stop_at=4) == 3
+        weight_distribution(tetracode(), workers=2)
+    with pytest.raises(InternalInconsistency, match="enumerated 7 of 9"):
+        min_weight_supports(tetracode(), 3, workers=2)
+
+
+@pytest.mark.parametrize("q,n,k", [(3, 2, 2), (4, 1, 3), (2, 3, 1), (7, 1, 2)])
+def test_serial_scan_walks_each_stratum_whole(q, n, k, monkeypatch):
+    # One worker, or a pool demoted by _MIN_WORKER_STEPS, runs each
+    # stratum once and whole; only a pool takes the pieces of _pieces.
+    runs, cuts = [], []
+    real_run, real_pieces = analyze._ClassScan.run, analyze._pieces
+
+    def run(self, piece, stop_at=None):
+        runs.append(piece)
+        return real_run(self, piece, stop_at)
+
+    def pieces(*args):
+        cuts.append(args)
+        return real_pieces(*args)
+
+    monkeypatch.setattr(analyze._ClassScan, "run", run)
+    monkeypatch.setattr(analyze, "_pieces", pieces)
+    C = prm_code(field_make(q), n, k)
+    D = min_dist_formula(n, k, q)
+    for scan in (
+        lambda: weight_distribution(C),
+        lambda: weight_distribution(C, workers=2),
+        lambda: min_distance(C),
+        lambda: min_distance(C, stop_at=D),
+        lambda: min_weight_supports(C, D, workers=2),
+    ):
+        runs.clear()
+        scan()
+        assert runs == [(i, ()) for i in range(C.K)]
+    assert cuts == []
+    monkeypatch.setattr(analyze, "_MIN_WORKER_STEPS", 1)
+    expected = ref_weight_distribution(C.field, C.G.a)
+    assert weight_distribution(C, workers=2).counts.tolist() == expected
+    assert cuts == [(q, C.K, 2)]
 
 
 def test_distribution_invariants():
@@ -420,6 +484,12 @@ def test_tetracode_supports():
     assert fam.blocks == ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
 
 
+def test_ref_supports_by_hand_on_tetracode():
+    C = tetracode()
+    assert ref_supports(C.field, C.G.a, 3) == ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
+    assert ref_supports(C.field, C.G.a, 2) == ()
+
+
 def test_supports_below_distance_empty():
     fam = min_weight_supports(tetracode(), 2)
     assert fam.blocks == ()
@@ -430,7 +500,7 @@ def test_supports_paths_and_workers_agree(monkeypatch):
     C = prm_code(field_make(3), 2, 2)
     w = min_distance(C)
     base = min_weight_supports(C, w)
-    assert tuple(sorted(generic_scan(C, w)[1])) == base.blocks
+    assert ref_supports(C.field, C.G.a, w) == base.blocks
     assert min_weight_supports(C, w, workers=3) == base
     assert len(base.blocks) >= 1
 
@@ -441,7 +511,7 @@ def test_supports_multiword_packing():
     C = code_from_rows(field_make(3), rng.integers(0, 3, size=(4, 70)))
     w = min_distance(C)
     packed = min_weight_supports(C, w)
-    assert packed.blocks == tuple(sorted(generic_scan(C, w)[1]))
+    assert packed.blocks == ref_supports(C.field, C.G.a, w)
     assert all(len(b) == w for b in packed.blocks)
 
 

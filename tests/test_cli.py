@@ -460,6 +460,16 @@ def test_no_module_imports_a_private_name_of_another():
     assert found == []
 
 
+def test_oracles_import_nothing_from_the_package():
+    # The test oracles are references for the package's results, so they
+    # share none of its code.
+    path = Path(__file__).resolve().parent / "oracles.py"
+    nodes = list(ast.walk(ast.parse(path.read_text(), filename=str(path))))
+    imported = [node.module or "" for node in nodes if isinstance(node, ast.ImportFrom)]
+    imported += [a.name for node in nodes if isinstance(node, ast.Import) for a in node.names]
+    assert imported and [m for m in imported if m.split(".")[0] == "prmhull"] == []
+
+
 def test_embedded_reference_agrees_with_formula_distance():
     ref = cli.REFERENCE_WEIGHT_DISTRIBUTIONS[(3, 3, 3)]
     assert sum(ref.values()) == 3**20
