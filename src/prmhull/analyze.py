@@ -169,6 +169,70 @@ def _inner_depth(q: int, K: int, N: int) -> int:
 
 
 # ---------------------------------------------------------------------------
+# weight counting
+
+
+class _WeightTally:
+    """Counts of the weights 0..N of a walk's words, one block per step.
+
+    A walk writes each step's n weights into `weights` and calls add().
+    Weights that fit a byte (N <= 255) are counted in pairs when the block
+    holds at least 128(N + 1) words: they sit at the front of an
+    even-length uint8 buffer, padded with one weight 0 when n is odd, whose
+    uint16 view holds one pair of weights per element, so one bincount
+    over n/2 elements counts a step. The pair counts build up in one array
+    of 256(N + 1), and counts() folds them: weight w is the count of pairs
+    with w in either byte, a row sum plus a column sum, less the padding.
+    Each pair count also fills and adds about 256 bins per unit of the
+    step's largest weight, which a narrower block does not repay (the two
+    routes cost the same near n = 100..150 (N + 1)), so narrower blocks,
+    like weights past one byte, are counted one by one.
+    """
+
+    def __init__(self, N: int, n: int):
+        self.N = N
+        if N < 256 and n >= 128 * (N + 1):
+            buf = np.zeros(n + n % 2, dtype=np.uint8)
+            self._pairs = buf.view(np.uint16)
+            self._tally = np.zeros(256 * (N + 1), dtype=np.int64)
+        else:
+            buf = np.empty(n, dtype=np.min_scalar_type(N))
+            self._pairs = None
+            self._tally = np.zeros(N + 1, dtype=np.int64)
+        self.weights = buf[:n]
+        self._padded = len(buf) - n
+        self._steps = 0
+        self._below = np.empty_like(self.weights)
+
+    def add(self) -> None:
+        """Count the current weights."""
+        if self._pairs is None:
+            self._tally += np.bincount(self.weights, minlength=self.N + 1)
+        else:
+            h = np.bincount(self._pairs)
+            self._tally[: len(h)] += h
+            self._steps += 1
+
+    def any_below(self, stop_at: int) -> bool:
+        """Whether a current weight w has 0 < w < stop_at.
+
+        Weight 0 wraps to the type's maximum, at least N, so it never
+        counts; every other weight w becomes w - 1.
+        """
+        np.subtract(self.weights, 1, out=self._below)
+        return int(self._below.min()) < min(stop_at, self.N + 1) - 1
+
+    def counts(self) -> np.ndarray:
+        """A_0..A_N over every step counted."""
+        if self._pairs is None:
+            return self._tally
+        pairs = self._tally.reshape(self.N + 1, 256)
+        out = pairs.sum(axis=1) + pairs[:, : self.N + 1].sum(axis=0)
+        out[0] -= self._steps * self._padded
+        return out
+
+
+# ---------------------------------------------------------------------------
 # packed engine for F_3
 #
 # A block is a (2, W, n) uint64 array: the low and high bitplanes of n
@@ -212,9 +276,10 @@ def _walk3(field, block, outer, offset, target_w, stop_at):
 
     diff = np.empty((W, n), dtype=np.uint64)
     tmp = np.empty((W, n), dtype=np.uint64)
-    pop = np.empty((W, n), dtype=np.uint8)
-    weights = np.empty(n, dtype=np.min_scalar_type(64 * W))
-    counts = np.zeros(N + 1, dtype=np.int64)
+    tally = _WeightTally(N, n)
+    weights = tally.weights
+    # One plane word's popcounts are the weights themselves.
+    pop = weights[None] if W == 1 else np.empty((W, n), dtype=np.uint8)
     raw = set() if target_w is not None else None
 
     def score():
@@ -224,13 +289,15 @@ def _walk3(field, block, outer, offset, target_w, stop_at):
         np.bitwise_xor(hi, nhi, out=tmp)
         np.bitwise_or(diff, tmp, out=diff)
         np.bitwise_count(diff, out=pop)
-        np.add.reduce(pop, axis=0, dtype=weights.dtype, out=weights)
-        hist = np.bincount(weights, minlength=N + 1)
-        counts[:] += hist
-        if raw is not None and hist[target_w]:
-            for col in diff[:, weights == target_w].T:
-                raw.add(tuple(col.tolist()))
-        return stop_at is not None and hist[1:stop_at].any()
+        if W > 1:
+            np.add.reduce(pop, axis=0, dtype=weights.dtype, out=weights)
+        tally.add()
+        if raw is not None:
+            hits = weights == target_w
+            if hits.any():
+                for col in diff[:, hits].T:
+                    raw.add(tuple(col.tolist()))
+        return stop_at is not None and tally.any_below(stop_at)
 
     aborted = score()
     if not aborted:
@@ -242,7 +309,7 @@ def _walk3(field, block, outer, offset, target_w, stop_at):
                 aborted = True
                 break
     sup = {_unpack_support_words(k) for k in raw} if raw is not None else None
-    return counts, sup, aborted
+    return tally.counts(), sup, aborted
 
 
 def _unpack_support_words(words: tuple[int, ...]) -> tuple[int, ...]:
@@ -309,29 +376,30 @@ def _walk_generic(field, block, outer, offset, target_w, stop_at):
     neg = field.vneg(offset)
 
     differs = np.empty((N, n), dtype=bool)
-    weights = np.empty(n, dtype=np.min_scalar_type(N))
-    counts = np.zeros(N + 1, dtype=np.int64)
+    tally = _WeightTally(N, n)
+    weights = tally.weights
     supports = set() if target_w is not None else None
 
     def score():
         # The support of block + cur is where block differs from -cur.
         np.not_equal(block, neg.astype(block.dtype)[:, None], out=differs)
         np.add.reduce(differs.view(np.uint8), axis=0, dtype=weights.dtype, out=weights)
-        hist = np.bincount(weights, minlength=N + 1)
-        counts[:] += hist
-        if supports is not None and hist[target_w]:
-            for col in differs[:, weights == target_w].T:
-                supports.add(tuple(np.flatnonzero(col).tolist()))
-        return stop_at is not None and hist[1:stop_at].any()
+        tally.add()
+        if supports is not None:
+            hits = weights == target_w
+            if hits.any():
+                for col in differs[:, hits].T:
+                    supports.add(tuple(np.flatnonzero(col).tolist()))
+        return stop_at is not None and tally.any_below(stop_at)
 
     if score():
-        return counts, supports, True
+        return tally.counts(), supports, True
     for pos, delta in _gray_steps(field.p, len(steps)):
         # -(cur ± step) = -cur ∓ step
         neg = field.vsub(neg, steps[pos]) if delta > 0 else field.vadd(neg, steps[pos])
         if score():
-            return counts, supports, True
-    return counts, supports, False
+            return tally.counts(), supports, True
+    return tally.counts(), supports, False
 
 
 # ---------------------------------------------------------------------------

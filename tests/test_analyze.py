@@ -40,6 +40,57 @@ def tetracode():
 
 
 # ---------------------------------------------------------------------------
+# weight counting
+
+
+def tally_widths(N):
+    # Two block widths counted one by one, and the narrowest even and odd
+    # widths counted in pairs (for N <= 255).
+    return [2, 7, 128 * (N + 1), 128 * (N + 1) + 1]
+
+
+@pytest.mark.parametrize("width", range(4))
+@pytest.mark.parametrize("N", [1, 40, 255, 256])
+def test_weight_tally_matches_bincount(N, width):
+    # The counts build up over several steps, each holding weights 0 and N.
+    n = tally_widths(N)[width]
+    rng = np.random.default_rng(1000 * N + n)
+    tally = analyze._WeightTally(N, n)
+    assert (tally._pairs is not None) == (N < 256 and width >= 2)
+    assert tally.weights.shape == (n,)
+    assert tally.weights.dtype == (np.uint8 if N < 256 else np.uint16)
+    expected = np.zeros(N + 1, dtype=np.int64)
+    for _ in range(5):
+        w = rng.integers(0, N + 1, size=n)
+        w[rng.choice(n, size=2, replace=False)] = 0, N
+        tally.weights[:] = w
+        tally.add()
+        expected += np.bincount(w, minlength=N + 1)
+    got = tally.counts()
+    assert got.dtype == np.int64 and got.tolist() == expected.tolist()
+
+
+@pytest.mark.parametrize("width", [1, 3])
+@pytest.mark.parametrize("N", [1, 40, 255, 256])
+def test_weight_tally_stops_only_below_the_bound(N, width):
+    # The early stop fires exactly when some weight w has 0 < w < stop_at;
+    # weight 0 never fires it, whatever the bound.
+    n = tally_widths(N)[width]
+    rng = np.random.default_rng(N + n)
+    tally = analyze._WeightTally(N, n)
+    cases = [np.zeros(n, dtype=int), np.full(n, N)]
+    for _ in range(20):
+        w = np.full(n, N)
+        w[rng.choice(n, size=3, replace=False)] = rng.integers(0, N + 1, size=3)
+        cases.append(w)
+    for w in cases:
+        tally.weights[:] = w
+        for stop_at in [0, 1, 2, N, N + 1, N + 2, 300, 70000]:
+            expected = bool(((w > 0) & (w < stop_at)).any())
+            assert tally.any_below(stop_at) == expected, (w.tolist(), stop_at)
+
+
+# ---------------------------------------------------------------------------
 # weight distribution
 
 
@@ -181,23 +232,36 @@ def test_class_scan_matches_oracle(q, monkeypatch):
         assert weight_distribution(C, workers=workers).counts.tolist() == expected
 
 
-# Rows of random codes of nine coordinates with q^K at most about 1000.
-# Their supports are not every w-subset, as those of CLASS_SCAN_CODES at
-# q = 4..9 are, so a support recorded at permuted coordinates shows.
-ASYMMETRIC_ROWS = {2: 6, 3: 6, 4: 4, 5: 4, 7: 3, 8: 3, 9: 3, 16: 2, 25: 2}
+# Random codes (rows, columns). Those of nine coordinates have q^K at most
+# about 1000, and their supports are not every w-subset, as those of
+# CLASS_SCAN_CODES at q = 4..9 are, so a support recorded at permuted
+# coordinates shows. The longer codes have most of their words weigh
+# more than 255, past one byte, so the walks count their weights one by
+# one instead of in pairs; at q = 3 they take seven plane words.
+ASYMMETRIC_CODES = [
+    pytest.param(q, rows, 9, id=str(q))
+    for q, rows in {2: 6, 3: 6, 4: 4, 5: 4, 7: 3, 8: 3, 9: 3, 16: 2, 25: 2}.items()
+] + [
+    pytest.param(2, 8, 600, id="2-wide"),
+    pytest.param(3, 5, 400, id="3-wide"),
+    pytest.param(5, 4, 330, id="5-wide"),
+]
 
 
-@pytest.mark.parametrize("q", sorted(ASYMMETRIC_ROWS))
-def test_class_scan_supports_on_asymmetric_codes(q, monkeypatch):
+@pytest.mark.parametrize("q,rows,cols", ASYMMETRIC_CODES)
+def test_class_scan_supports_on_asymmetric_codes(q, rows, cols, monkeypatch):
     one_row_inner_blocks(monkeypatch)
-    rng = np.random.default_rng(q)
-    C = code_from_rows(field_make(q), rng.integers(0, q, size=(ASYMMETRIC_ROWS[q], 9)))
+    rng = np.random.default_rng(q if cols == 9 else cols)
+    C = code_from_rows(field_make(q), rng.integers(0, q, size=(rows, cols)))
     counts = ref_weight_distribution(C.field, C.G.a)
     w = next(w for w in range(1, C.N + 1) if counts[w])
     expected = ref_supports(C.field, C.G.a, w)
     assert len(expected) < math.comb(C.N, w)
     for workers in (1, 2):
         assert min_weight_supports(C, w, workers=workers).blocks == expected, workers
+        assert weight_distribution(C, workers=workers).counts.tolist() == counts, workers
+    for stop_at in (None, w, w + 1):
+        assert min_distance(C, stop_at=stop_at) == w, stop_at
 
 
 @pytest.mark.parametrize("q,n,k", [(3, 2, 2), (3, 1, 1), (4, 1, 3), (5, 1, 2), (2, 3, 1)])
@@ -464,6 +528,65 @@ def test_min_distance_stop_at():
     assert min_distance(C, stop_at=3) == 3
     # An overclaimed bound: the scan returns a witness strictly below it.
     assert min_distance(C, stop_at=4) == 3
+
+
+@pytest.mark.parametrize(
+    "q,K,column",
+    [(2, 13, 1), (2, 13, 4095), (3, 9, 1), (3, 9, 6560), (5, 6, 3), (5, 6, 3124)],
+    ids=["generic-q2-odd", "generic-q2-last", "packed-odd", "packed-padded",
+         "generic-q5-odd", "generic-q5-padded"],
+)
+def test_stop_at_sees_every_column_of_a_pair(q, K, column, monkeypatch):
+    # G[1:] spans the inner block, so stratum 0 is one step of q^(K-1)
+    # words, enough at N = 20 to be counted in pairs. Column j holds G[0]
+    # plus the rows weighted by the base-q digits of j, the last row least
+    # significant, and G[0] is chosen so that the given column holds e_0,
+    # the code's only word of weight 1 up to scalars. An odd column is the
+    # second weight of a pair, and the last column of an odd-width block
+    # is paired with the padding. The scan must stop in stratum 0.
+    f, N = field_make(q), 20
+    assert q ** (K - 1) >= 128 * (N + 1)
+    rest = np.random.default_rng(q).integers(0, q, size=(K - 1, N))
+    first = np.eye(1, N, dtype=rest.dtype)[0]
+    for t, row in enumerate(rest):
+        first = f.vsub(first, f.vmul(column // q ** (K - 2 - t) % q, row))
+    C = make_code(q, np.vstack([first, rest]))
+    expected = ref_weight_distribution(C.field, C.G.a)
+    assert expected[1] == q - 1
+    runs = []
+    real_run = analyze._ClassScan.run
+
+    def run(self, piece, stop_at=None):
+        result = real_run(self, piece, stop_at)
+        runs.append((piece, result[2]))
+        return result
+
+    monkeypatch.setattr(analyze._ClassScan, "run", run)
+    assert min_distance(C, stop_at=2) == 1
+    assert runs == [((0, ()), True)]
+    assert weight_distribution(C).counts.tolist() == expected
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_weight_zero_word_never_stops_a_walk(q):
+    # A block fed by hand: column 0 is -offset, so its word is 0, and
+    # column 1 makes a word of full weight N. With no outer rows the walk
+    # scores that one block; only the full-weight word can stop it.
+    f = field_make(q)
+    offset = np.array([1, 2, 0, 1, 1, 0, 2])
+    N = len(offset)
+    columns = [f.vneg(offset), f.vsub(np.ones(N, dtype=offset.dtype), offset)]
+    if q == 3:
+        walk = analyze._walk3
+        block = np.stack([analyze._pack3(v, 1) for v in columns], axis=2)
+    else:
+        walk = analyze._walk_generic
+        block = np.array(columns, dtype=np.uint8).T
+    outer = np.zeros((0, N), dtype=offset.dtype)
+    for n, stop_at, aborted in [(1, N + 1, False), (2, N, False), (2, N + 1, True)]:
+        counts, _, stopped = walk(f, block[..., :n], outer, offset, None, stop_at)
+        assert stopped == aborted, (n, stop_at)
+        assert counts.tolist() == [1] + [0] * (N - 1) + [n - 1]
 
 
 def test_min_distance_zero_code():
