@@ -12,9 +12,9 @@ Subcommands:
 
 Exit codes: 0 success/agreement, 1 internal failure or a matrix too
 large to allocate (MemoryError), 2 theorem disagreement, 3 budget
-exceeded, 64 usage error. Every command is deterministic given its
-flags; worker count never changes the data payload, and progress/timing
-chatter goes to stderr only.
+exceeded, 64 usage error, 141 stdout closed by its reader. Every command
+is deterministic given its flags; worker count never changes the data
+payload, and progress/timing chatter goes to stderr only.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import contextlib
 import csv
 import json
 import math
+import os
 import sys
 import time
 import traceback
@@ -797,7 +798,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout is met here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout (`sweep --json | head -1`): as Python's
+        # signal docs advise, stdout points at os.devnull so the final flush
+        # stays silent, and the status is the shell's 128 + SIGPIPE (13).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -128,11 +128,11 @@ def _dual_label(C: LinearCode) -> str:
 def dual(C: LinearCode) -> LinearCode:
     """The dual code, generated by the complement of C's canonical basis.
 
-    C^⊥ is held once, as that complement, which the basis caches: formed
-    here on first need, proven, and only then linked; or linked by
-    :func:`adopt_dual` from a proven candidate, in which case no
-    complement is row-reduced. A complement that fails its proof is linked
-    to nothing, so the next call forms and proves it again.
+    C^⊥ is held once, as that complement, which the basis caches and
+    only :func:`adopt_dual` links: either a proven candidate, in which
+    case no complement is row-reduced, or the complement formed here on
+    first need. A complement that fails its proof is linked to nothing,
+    so the next call forms and proves it again.
 
     Raises:
         InternalInconsistency: if a complement formed here is not
@@ -142,27 +142,25 @@ def dual(C: LinearCode) -> LinearCode:
     own = C.canonical()
     if not own.complement_known():
         basis = own.form_complement()
-        fault = _dual_fault(C, basis)
-        if fault is not None:
-            raise InternalInconsistency(fault)
-        own.link_complement(basis)
+        if not adopt_dual(C, basis):
+            raise InternalInconsistency(_dual_fault(C, basis))
     return LinearCode.from_basis(own.complement(), label=_dual_label(C))
 
 
 def adopt_dual(C: LinearCode, basis: SubspaceBasis) -> bool:
     """Take a canonical basis as C's dual if it is proven to span C^⊥.
 
-    If C^⊥ is already known, formed by :func:`dual` or linked by an
-    earlier adoption (as the sweep's mirrored point links it), the basis
-    is compared with it. Otherwise the proof is the one :func:`dual`
-    applies to the complement: basis is orthogonal to C's generator rows
-    and has N - K rows. When basis is C's own canonical basis, as at a
-    self-dual point, the orthogonality is read from the Gram matrix
-    G G^T, which hull() needs anyway. On success C's canonical basis and
-    basis become each other's orthogonal complement wherever that link is
-    unset, so dual(C), and a hull basis that is one of the two, cost no
-    row reduction. On failure nothing is linked, and dual(C) forms the
-    complement unless C^⊥ is already known.
+    The one place a code's C^⊥ is linked. If C^⊥ is already known,
+    linked by an earlier adoption (as the sweep's mirrored point links
+    it, or :func:`dual` from the complement it formed), the basis is
+    compared with it. Otherwise basis is proven orthogonal to C's
+    generator rows and to have N - K rows. When basis is C's own
+    canonical basis, as at a self-dual point, the orthogonality is read
+    from the Gram matrix G G^T, which hull() needs anyway. On success C's
+    canonical basis and basis become each other's orthogonal complement
+    wherever that link is unset, so dual(C), and a hull basis that is one
+    of the two, cost no row reduction. On failure nothing is linked, and
+    dual(C) forms the complement unless C^⊥ is already known.
 
     Raises:
         FieldMismatch, DimensionMismatch: basis is over another field or

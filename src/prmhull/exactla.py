@@ -208,11 +208,11 @@ class SubspaceBasis:
         if B.dim == 0:
             return A
         f = A.matrix.field
-        B_red = f.vsub(B.matrix.a, _reduce_by(B.matrix.a, A))
+        B_red = _residual(B.matrix.a, A)
         if not B_red.any():
             return A
         R = SubspaceBasis.from_matrix(MatrixFq(f, B_red))
-        A_red = f.vsub(A.matrix.a, _reduce_by(A.matrix.a, R))
+        A_red = _residual(A.matrix.a, R)
         pivots = A.pivots + R.pivots
         order = np.argsort(pivots, kind="stable")
         rows = np.vstack([A_red, R.matrix.a])[order]
@@ -229,8 +229,7 @@ class SubspaceBasis:
             raise DimensionMismatch(f"ambient {self.ambient}, vectors of length {V.shape[1]}")
         if self.dim == 0:
             return not V.any()
-        V = V.astype(np.int32)
-        return not self.matrix.field.vsub(V, _reduce_by(V, self)).any()
+        return not _residual(V.astype(np.int32), self).any()
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, SubspaceBasis) and self.matrix == other.matrix
@@ -242,10 +241,11 @@ class SubspaceBasis:
         return f"SubspaceBasis(GF({self.matrix.field.q}), dim {self.dim}, ambient {self.ambient})"
 
 
-def _reduce_by(V: np.ndarray, basis: SubspaceBasis) -> np.ndarray:
-    """V[:, pivots]·basis: the part of V's rows that the pivot rows account for."""
-    coeffs = MatrixFq(basis.matrix.field, V[:, list(basis.pivots)])
-    return mat_mul(coeffs, basis.matrix).a
+def _residual(V: np.ndarray, basis: SubspaceBasis) -> np.ndarray:
+    """V - V[:, pivots]·basis: V's rows reduced by the pivot rows, zero in
+    every pivot column, and zero exactly where a row lies in the span."""
+    f = basis.matrix.field
+    return f.vsub(V, mat_mul(MatrixFq(f, V[:, list(basis.pivots)]), basis.matrix).a)
 
 
 # -- row reduction ------------------------------------------------------------

@@ -16,6 +16,7 @@ the complement and the point reports the disagreement.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 
@@ -50,8 +51,10 @@ class SweepSpec:
     distance_budget: int = 0
 
 
-def _sweep_row(field, n: int, k: int, get_code) -> dict:
-    """One grid point: the classification report plus the sweep's checks."""
+def _sweep_row(field, n: int, k: int, get_code, distance_budget: int = 0) -> dict:
+    """One grid point: the classification report plus the sweep's checks,
+    including, when q^K <= distance_budget, the exhaustive minimum distance.
+    Every key of the row, ``agree`` included, is set here."""
     q = field.q
     C = get_code(k)
     dual_ok, ones_outside = verify_dual(C, get_code(n * (q - 1) - k))
@@ -67,6 +70,11 @@ def _sweep_row(field, n: int, k: int, get_code) -> dict:
         wvec = lcd_witness(field, n, k)
         witness_ok = contains_vector(C, wvec) and contains_vector(D, wvec)
 
+    d = distance_ok = None
+    if distance_budget and q**C.K <= distance_budget:
+        d = min_distance(C, budget=distance_budget, stop_at=report.D_formula)
+        distance_ok = d == report.D_formula
+
     row = report.to_json()
     row["agree"] = (
         report.agree
@@ -75,6 +83,7 @@ def _sweep_row(field, n: int, k: int, get_code) -> dict:
         and ones_outside is not False
         and witness_ok is not False
         and report.constructed["hull_dim"] == dual_hull_dim
+        and distance_ok is not False
     )
     row.update(
         K_sorensen=K_s,
@@ -87,8 +96,8 @@ def _sweep_row(field, n: int, k: int, get_code) -> dict:
         ones_outside_dual_base=ones_outside,
         witness_in_hull=witness_ok,
         hull_cases=[label for label, _ in hull_dim_cases(n, k, q)],
-        min_distance=None,
-        distance_matches_formula=None,
+        min_distance=d,
+        distance_matches_formula=distance_ok,
     )
     return row
 
@@ -123,25 +132,8 @@ def run_sweep(spec: SweepSpec, log=None) -> tuple[list[dict], dict]:
                 ks = sorted(k for k in set(spec.k_policy) if 1 <= k <= t)
             # Point k also needs the code of degree n(q-1) - k, so the
             # codes of one (q, n) slice are built once and shared.
-            codes: dict[int, object] = {}
-
-            def get_code(k, _field=field, _n=n, _codes=codes):
-                if k not in _codes:
-                    _codes[k] = prm_code(_field, _n, k)
-                return _codes[k]
-
-            for k in ks:
-                row = _sweep_row(field, n, k, get_code)
-                if spec.distance_budget and q ** row["K"] <= spec.distance_budget:
-                    d = min_distance(
-                        get_code(k),
-                        budget=spec.distance_budget,
-                        stop_at=row["D_formula"],
-                    )
-                    row["min_distance"] = d
-                    row["distance_matches_formula"] = d == row["D_formula"]
-                    row["agree"] = row["agree"] and row["distance_matches_formula"]
-                rows.append(row)
+            get_code = functools.cache(functools.partial(prm_code, field, n))
+            rows.extend(_sweep_row(field, n, k, get_code, spec.distance_budget) for k in ks)
             if log is not None:
                 print(
                     f"sweep q={q} n={n}: {len(ks)} points "
@@ -150,12 +142,11 @@ def run_sweep(spec: SweepSpec, log=None) -> tuple[list[dict], dict]:
                 )
     if not rows:
         raise UsageError("sweep grid is empty (no valid (n, k, q) points)")
+    agree = sum(r["agree"] for r in rows)
     summary = {
         "points": len(rows),
-        "agree": sum(1 for r in rows if r["agree"]),
-        "disagree": sum(1 for r in rows if not r["agree"]),
-        "no_closed_form": sum(
-            1 for r in rows if r["hull_dim_source"] == "constructive"
-        ),
+        "agree": agree,
+        "disagree": len(rows) - agree,
+        "no_closed_form": sum(r["hull_dim_source"] == "constructive" for r in rows),
     }
     return rows, summary

@@ -3,8 +3,9 @@
 Each test finishes by printing one `CRITERION n: PASS` line (visible with
 `pytest -s`); the test name itself carries the pass/fail verdict in
 `pytest -v` output. Expensive artifacts are shared: one exhaustive scan
-of the [40, 20, 9] ternary code feeds criteria 1, 4 and 5, and one
-full-grid sweep feeds criteria 2, 3, 6 and 7.
+of the [40, 20, 9] ternary code (the ``c333_scan`` fixture of
+``conftest.py``) feeds criteria 1, 4 and 5, and one full-grid sweep feeds
+criteria 2, 3, 6 and 7.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import time
 import numpy as np
 import pytest
 
-from prmhull.analyze import design_lambda, min_distance, weight_distribution_with_supports
+from prmhull.analyze import design_lambda, min_distance
 from prmhull.field import field_make, power_sum
 from prmhull.geometry import evaluate, projective_points, reduce_monomial
 from prmhull.prm import dim_sorensen, prm_code, rsj_hull_dim
@@ -56,16 +57,6 @@ C333_DISTRIBUTION = {
     36: 5468320,
     39: 11520,
 }
-
-
-@pytest.fixture(scope="session")
-def c333_scan():
-    """One exhaustive pass over all 3^20 codewords of the [40, 20, 9] code,
-    collecting the distribution and the weight-9 supports together."""
-    C = prm_code(field_make(3), 3, 3)
-    t0 = time.monotonic()
-    dist, fam = weight_distribution_with_supports(C, 9)
-    return {"C": C, "dist": dist, "fam": fam, "seconds": time.monotonic() - t0}
 
 
 @pytest.fixture(scope="session")

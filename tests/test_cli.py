@@ -159,6 +159,35 @@ def test_hull_no_closed_form_point(capsys):
     assert payload["agree"] is True
 
 
+@pytest.mark.parametrize("emit_basis", [False, True])
+def test_hull_gap_point_text(capsys, emit_basis):
+    argv = ["hull", "--n", "3", "--k", "4", "--q", "4"] + ["--emit-basis"] * emit_basis
+    code, out, _ = run(argv, capsys)
+    assert code == EXIT_OK
+    assert out == (
+        "hull of C(n=3, k=4, q=4): dim=24 gram_rank=11 K=35\n"
+        "closed-form: no-closed-form (value above is constructive)\n"
+        + "predicted basis: no-closed-form\n" * emit_basis
+        + "agree: yes\n"
+    )
+
+
+def test_hull_emit_basis_text_names_squares(capsys):
+    code, out, _ = run(["hull", "--n", "2", "--k", "2", "--q", "7", "--emit-basis"], capsys)
+    assert code == EXIT_OK
+    assert out == (
+        "hull of C(n=2, k=2, q=7): dim=5 gram_rank=1 K=6\n"
+        "closed-form: 5 via case q>2k+1\n"
+        "  x0^2: in-hull=yes\n"
+        "  x0*x1: in-hull=yes\n"
+        "  x0*x2: in-hull=yes\n"
+        "  x1^2: in-hull=yes\n"
+        "  x1*x2: in-hull=yes\n"
+        "predicted basis: 5 monomials, verified=yes\n"
+        "agree: yes\n"
+    )
+
+
 def test_hull_emit_matrix_parses(capsys):
     code, out, _ = run(
         ["hull", "--n", "2", "--k", "1", "--q", "5", "--emit-matrix"], capsys
@@ -329,6 +358,23 @@ def test_wenum_read_matrix_entry_out_of_range(tmp_path, capsys):
     assert "bad matrix file" in err
 
 
+@pytest.mark.parametrize("text", ["", "3 2\n0 1\n"])
+def test_wenum_read_matrix_malformed_text(tmp_path, capsys, text):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    code, out, err = run(["wenum", "--read-matrix", str(path)], capsys)
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error: bad matrix file") and "Traceback" not in err
+
+
+def test_wenum_read_matrix_with_check_paper_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "tetra.txt"
+    path.write_text(prm_code(field_make(3), 1, 1).G.to_text())
+    code, out, err = run(["wenum", "--read-matrix", str(path), "--check-paper"], capsys)
+    assert code == EXIT_USAGE and out == ""
+    assert err == "error: --check-paper applies only to --n/--k/--q codes\n"
+
+
 def test_wenum_read_matrix_missing_file(capsys):
     code, _, err = run(["wenum", "--read-matrix", "/nope/missing.txt"], capsys)
     assert code == EXIT_USAGE
@@ -365,6 +411,53 @@ def test_reference_check_fail_demo(capsys, monkeypatch):
     )
     assert code == EXIT_DISAGREE
     assert "reference check: FAIL at weight 3: expected 7, got 8" in out
+
+
+def _reference_distribution():
+    ref = cli.REFERENCE_WEIGHT_DISTRIBUTIONS[(3, 3, 3)]
+    return analyze.WeightDistribution([ref.get(w, 0) for w in range(41)])
+
+
+C333_PAIRS = [
+    [0, 1], [9, 1040], [12, 18720], [15, 1100736], [18, 25761840],
+    [21, 236377440], [24, 908079120], [27, 1388750720], [30, 783679104],
+    [33, 137535840], [36, 5468320], [39, 11520],
+]
+
+
+@pytest.mark.parametrize("fmt", ["--json", "--csv"])
+def test_reference_check_flagship_payloads(capsys, monkeypatch, fmt):
+    # The scan is replaced by the embedded reference, so no 3^20 scan runs.
+    monkeypatch.setattr(
+        cli, "weight_distribution", lambda C, budget, workers: _reference_distribution()
+    )
+    argv = ["wenum", "--n", "3", "--k", "3", "--q", "3", "--check-paper", fmt]
+    code, out, err = run(argv, capsys)
+    assert code == EXIT_OK
+    assert err.startswith("enumerated 3486784401 codewords in ")
+    if fmt == "--csv":
+        rows = "".join(f"{w},{c}\r\n" for w, c in C333_PAIRS)
+        assert out == "weight,count\r\n" + rows
+        assert err.endswith("s\nreference check: PASS (12 coefficients match)\n")
+        return
+    polynomial = (
+        "x^40 + 1040x^31y^9 + 18720x^28y^12 + 1100736x^25y^15 + 25761840x^22y^18"
+        " + 236377440x^19y^21 + 908079120x^16y^24 + 1388750720x^13y^27"
+        " + 783679104x^10y^30 + 137535840x^7y^33 + 5468320x^4y^36 + 11520xy^39"
+    )
+    payload = {
+        "N": 40,
+        "K": 20,
+        "q": 3,
+        "total": 3486784401,
+        "min_nonzero_weight": 9,
+        "pairs": C333_PAIRS,
+        "polynomial": polynomial,
+        "n": 3,
+        "k": 3,
+        "reference_check": "pass",
+    }
+    assert out == json.dumps(payload, indent=2) + "\n"
 
 
 def test_reference_check_unknown_point(capsys):
@@ -445,6 +538,22 @@ def test_only_exactla_holds_the_complement_link():
         )
     ]
     assert found == []
+
+
+def test_only_adopt_dual_and_complement_link_a_complement():
+    # A basis becomes C^⊥ in one place: adopt_dual, after its proof. The
+    # other link is SubspaceBasis.complement() caching what it formed.
+    callers = [
+        f"{path.name}:{fn.name}"
+        for path in sorted(Path(cli.__file__).resolve().parent.glob("*.py"))
+        for fn in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "link_complement"
+    ]
+    assert sorted(callers) == ["code.py:adopt_dual", "exactla.py:complement"]
 
 
 def test_no_module_imports_a_private_name_of_another():
@@ -586,6 +695,20 @@ def test_sweep_distance_verification(capsys):
     assert measured == 5  # K = 2, 3, 3, 6, 10 fit under the limit; K = 12 does not
 
 
+def test_sweep_distances_table_text(capsys):
+    code, out, _ = run(["sweep", "--n", "1,2", "--q", "3", "--distances", "100"], capsys)
+    assert code == EXIT_OK
+    assert out == (
+        "q=3 n=1 k= 1  [4,2] D=3  SD=yes SO=yes LCD=no hull=2 (closed-form)  ok\n"
+        "q=3 n=1 k= 2  [4,3] D=2  SD=no SO=no LCD=yes hull=0 (closed-form)  ok\n"
+        "q=3 n=2 k= 1  [13,3] D=9  SD=no SO=yes LCD=no hull=3 (closed-form)  ok\n"
+        "q=3 n=2 k= 2  [13,6]  SD=no SO=yes LCD=no hull=6 (closed-form)  ok\n"
+        "q=3 n=2 k= 3  [13,10]  SD=no SO=no LCD=no hull=3 (closed-form)  ok\n"
+        "q=3 n=2 k= 4  [13,12]  SD=no SO=no LCD=yes hull=0 (closed-form)  ok\n"
+        "sweep summary: points=6 agree=6 disagree=0 no-closed-form=0\n"
+    )
+
+
 def test_sweep_negative_distances_is_a_usage_error(capsys):
     # LIMIT 0 keeps distance checks off, as when the flag is absent.
     argv = ["sweep", "--n", "1", "--q", "2", "--json"]
@@ -607,6 +730,17 @@ def test_sweep_out_file(tmp_path, capsys):
     assert "sweep summary" in out
     rows = list(csv.DictReader(path.open()))
     assert len(rows) == 1 and rows[0]["n"] == "1" and rows[0]["q"] == "2"
+
+
+def test_sweep_json_out_file_prints_only_the_summary(tmp_path, capsys):
+    path = tmp_path / "rows.json"
+    code, out, _ = run(
+        ["sweep", "--n", "1", "--q", "2,3", "--json", "--out", str(path)], capsys
+    )
+    assert code == EXIT_OK
+    assert out == "sweep summary: points=3 agree=3 disagree=0 no-closed-form=0\n"
+    payload = json.loads(path.read_text())
+    assert payload["summary"]["points"] == len(payload["rows"]) == 3
 
 
 def test_sweep_rejects_non_prime_power(capsys):
@@ -700,6 +834,20 @@ def test_sweep_row_reports_a_wrong_described_dual(monkeypatch):
     assert row["constructed"]["hull_dim"] == row["dual_hull_dim"]
 
 
+def test_sweep_row_judges_the_exhaustive_distance(monkeypatch):
+    # The distance check and its share of `agree` belong to the row: a
+    # wrong search result makes the point disagree, and a code beyond the
+    # budget is not searched.
+    f = field_make(3)
+    monkeypatch.setattr(sweep, "min_distance", lambda C, budget, stop_at: stop_at + 1)
+    row = sweep._sweep_row(f, 2, 1, lambda k: prm_code(f, 2, k), 27)
+    assert (row["min_distance"], row["distance_matches_formula"]) == (10, False)
+    assert row["agree"] is False
+    row = sweep._sweep_row(f, 2, 1, lambda k: prm_code(f, 2, k), 26)
+    assert row["min_distance"] is row["distance_matches_formula"] is None
+    assert row["agree"] is True
+
+
 def test_sweep_row_reduces_each_code_once(monkeypatch):
     # Per point: the code and the dual-side code of degree n(q-1) - k
     # (each shared with another point), the rows the all-ones extension
@@ -737,20 +885,60 @@ def test_sweep_row_reduces_each_code_once(monkeypatch):
 # selftest and usage plumbing
 
 
+SELFTEST_STEPS = (
+    "parameter-formulas",
+    "small-code-distances",
+    "tetracode-enumerator",
+    "tetracode-design",
+    "embedded-reference-consistency",
+    "sweep-small-grid",
+    "two-variable-hull-formula",
+)
+
+
 def test_selftest_passes(capsys):
     code, out, _ = run(["selftest"], capsys)
     assert code == EXIT_OK
     assert "selftest: PASS" in out
-    for name in (
-        "parameter-formulas",
-        "small-code-distances",
-        "tetracode-enumerator",
-        "tetracode-design",
-        "embedded-reference-consistency",
-        "sweep-small-grid",
-        "two-variable-hull-formula",
-    ):
+    for name in SELFTEST_STEPS:
         assert f"ok {name}" in out
+
+
+def _full_selftest_scan(reference_fam, corrupt):
+    real = cli.weight_distribution_with_supports
+
+    def scan(C, w, **kwargs):
+        if (C.N, C.K) != (40, 20):
+            return real(C, w, **kwargs)
+        dist = _reference_distribution()
+        if corrupt:
+            dist.counts[12] += 1
+        return dist, reference_fam
+
+    return scan
+
+
+@pytest.mark.parametrize("corrupt", [False, True])
+def test_selftest_full_checks_the_reference_enumeration(
+    capsys, monkeypatch, c333_scan, corrupt
+):
+    # The 3^20 scan is replaced by the embedded distribution and the shared
+    # scan's weight-9 supports; a corrupted coefficient fails the step.
+    scan = _full_selftest_scan(c333_scan["fam"], corrupt)
+    monkeypatch.setattr(cli, "weight_distribution_with_supports", scan)
+    code, out, _ = run(["selftest", "--full"], capsys)
+    lines = out.splitlines()
+    if corrupt:
+        assert code == EXIT_INTERNAL
+        assert lines[-2] == (
+            "FAIL full-reference-enumeration: InternalInconsistency('distribution')"
+        )
+        assert lines[-1].startswith("selftest: FAIL (8 checks, 1 failures, ")
+    else:
+        assert code == EXIT_OK
+        assert lines[-2] == "ok full-reference-enumeration"
+        assert lines[-1].startswith("selftest: PASS (8 checks, 0 failures, ")
+    assert lines[:-2] == [f"ok {name}" for name in SELFTEST_STEPS]
 
 
 def test_no_command_is_usage_error(capsys):
@@ -796,3 +984,30 @@ def test_memory_error_is_one_line_and_exits_1(capsys, monkeypatch):
     code, out, err = run(["classify", "--n", "1", "--k", "1", "--q", "3"], capsys)
     assert code == EXIT_INTERNAL and out == ""
     assert err == f"error: MemoryError: {message}\n"
+
+
+def test_closed_stdout_exits_quietly():
+    # The read end of the pipe is closed before the child writes, so its
+    # first write to stdout fails: no traceback, no "Exception ignored"
+    # from the final flush, and the status a shell gives a writer that
+    # SIGPIPE ended.
+    paths = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    for argv in (
+        ["sweep", "--n", "1", "--q", "2,3", "--json"],
+        ["params", "--n", "1", "--k", "1", "--q", "3"],
+    ):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "prmhull", *argv],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+                env=env,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 141, proc.stderr
+        assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr

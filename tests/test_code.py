@@ -355,6 +355,13 @@ def test_hull_basis_is_row_reduced_only_when_read(monkeypatch):
     assert rep.hull_basis is basis and len(seen) == start + 1  # cached
 
 
+def test_hull_raises_when_its_two_routes_disagree(monkeypatch):
+    C = tetracode()
+    monkeypatch.setattr(LinearCode, "gram_rank", lambda self: 1)
+    with pytest.raises(InternalInconsistency, match="hull dim 2 != K - rank"):
+        hull(C)
+
+
 def test_hull_report_json():
     rep = hull(tetracode())
     d = rep.to_json()

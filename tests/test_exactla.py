@@ -715,6 +715,14 @@ class TestTransposeAndText:
             MatrixFq.from_text("3 2 2\n0 1\n")
         with pytest.raises(ValueError):
             MatrixFq.from_text("3 1 2\n0 1 2\n")
+        with pytest.raises(ValueError, match="empty"):
+            MatrixFq.from_text(" \n")
+        with pytest.raises(ValueError, match="header"):
+            MatrixFq.from_text("3 2\n0 1\n")
+
+    def test_matrix_needs_two_dimensions(self):
+        with pytest.raises(DimensionMismatch):
+            MatrixFq(field_make(3), [0, 1, 2])
 
 
 class TestSubspaceBasis:
@@ -741,6 +749,11 @@ class TestSubspaceBasis:
         assert b.dim == 0
         assert b.contains_rows(np.zeros((1, 4), dtype=np.int32))
         assert not b.contains_rows(np.array([[1, 0, 0, 0]], dtype=np.int32))
+
+    def test_vectors_of_another_length_raise(self):
+        b = SubspaceBasis.from_matrix(MatrixFq(field_make(2), [[1, 0, 0], [0, 1, 0]]))
+        with pytest.raises(DimensionMismatch):
+            b.contains_rows(np.array([[1, 0]], dtype=np.int32))
 
 
 class TestSum:

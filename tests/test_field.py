@@ -239,6 +239,15 @@ class TestPowerProducts:
         with pytest.raises(ValueError):
             field_make(5).power_products(exps, x)
 
+    def test_coordinate_count_bound(self):
+        # m (q-1)^2 < 2^53 keeps the exponent product exact; no point has
+        # that many coordinates, so empty arrays test the bound.
+        f = field_make(65536)
+        m = -(-(1 << 53) // (f.q - 1) ** 2)
+        assert f.power_products([], np.zeros((0, m - 1), dtype=np.int32)).shape == (0, 0)
+        with pytest.raises(ValueError, match="too many"):
+            f.power_products([], np.zeros((0, m), dtype=np.int32))
+
 
 class TestVectorized:
     @pytest.mark.parametrize("q", SWEEP_Q + [16, 25, 27, 257, 512, 65521])

@@ -32,6 +32,7 @@ from prmhull.prm import (
     rsj_hull_dim,
     verify_dual,
 )
+from prmhull.sweep import SweepSpec, run_sweep
 
 # Small parameter grid used by several theorem checks: every admissible k.
 GRID = [(n, q) for q in (2, 3, 4, 5) for n in (1, 2)] + [(3, 2), (3, 3)]
@@ -168,6 +169,8 @@ def test_prm_code_rejects_bad_parameters():
         prm_code(f, 0, 1)
     with pytest.raises(OutOfRange):
         prm_code(f, 2, -1)
+    with pytest.raises(OutOfRange):
+        arm_code(f, 0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -519,6 +522,17 @@ def test_reports_agree_on_grid():
         f = field_make(q)
         for k in all_k(n, q):
             assert classification_report(f, n, k).agree, (n, k, q)
+
+
+def test_sweep_agrees_on_the_line_beyond_the_grid():
+    # Every check of a sweep row, both ways, over prime and extension
+    # fields the default grid leaves out: the dual proof, the LCD witness
+    # and the dual side's Gram rank at every k on P^1.
+    qs = (11, 13, 16, 25, 27, 32)
+    rows, summary = run_sweep(SweepSpec((1,), qs, "all"))
+    assert summary["points"] == sum(q - 1 for q in qs) == 118
+    assert summary["disagree"] == 0 and summary["no_closed_form"] == 0
+    assert all(r["dual_verified"] and r["dims_match"] for r in rows)
 
 
 def test_params_helper():
