@@ -7,10 +7,11 @@ first nonzero symbol is 1. Stratum i holds those whose first nonzero
 symbol sits at position i; it is G[i] plus every combination of the rows
 after it. The distribution is rebuilt as A_0 = 1 and A_w = (q - 1) times
 the count of weight w, and supports are collected once per class. One
-worker walks each stratum whole; only for a pool of worker processes
-are large strata cut into pieces of equal size, so that the workers
-finish close together. There is no second, full walk: the tests check
-counts and supports against brute-force oracles.
+worker walks each stratum whole; only a scan split over several workers
+cuts large strata into pieces of equal size, dealt into shares that
+finish close together. The scanning process walks one share itself and
+a child forked from it walks each other one. There is no second, full
+walk: the tests check counts and supports against brute-force oracles.
 
 Within a stratum, the walk runs over the free message symbols in
 reflected mixed-radix order, so each step changes one symbol by one
@@ -32,6 +33,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+import pickle
 from collections import Counter
 from dataclasses import dataclass
 
@@ -48,8 +51,15 @@ _PACK_BLOCK_CAP = 1 << 17
 _GENERIC_CELL_CAP = 1 << 22
 
 # Workers are only engaged when each has at least this many scalar classes
-# to score; below that, starting processes costs more than it saves.
-_MIN_WORKER_STEPS = 10**6
+# to score; below that, forking a child costs more than it saves. In
+# medians of 9-21 alternating weight_distribution calls on random codes
+# (2 CPUs, six series), 2 workers against 1 lost or tied at 1.2e6 classes
+# per worker over F_3 (10.0-18.2 against 7.5-11.5 ms), were about even at
+# 1.05e6-1.22e6 over F_2, F_5 and F_8, and won from 2.1e6 on (F_2, 2.1e6:
+# 28.8-35.6 against 39.8-43.1 ms; F_9, 2.7e6: 27.8-36.3 against
+# 37.5-40.8 ms), but for F_2 in the one series run while the second CPU
+# was busy (48.7 against 41.3 ms).
+_MIN_WORKER_STEPS = 2 * 10**6
 
 
 class _NotADesign:
@@ -439,14 +449,14 @@ class _ClassScan:
 
 
 def _pieces(q: int, K: int, workers: int) -> list[tuple[int, tuple[int, ...]]]:
-    """Pieces for a pool of `workers` processes, covering every scalar
-    class once, largest first.
+    """Pieces for `workers` shares of a scan, covering every scalar class
+    once, largest first.
 
     Stratum i holds the q^(K-1-i) messages whose first nonzero symbol is
     a 1 at position i. A stratum of more than a quarter of one worker's
     share is split by fixing its leading free symbols into pieces of the
-    same size, at most that quarter, so workers handed pieces largest
-    first finish close together.
+    same size, at most that quarter, so that shares dealt the pieces
+    largest first (`_shares`) finish close together.
     """
     classes = (q**K - 1) // (q - 1)
     size = -(-classes // (4 * workers))
@@ -459,16 +469,82 @@ def _pieces(q: int, K: int, workers: int) -> list[tuple[int, tuple[int, ...]]]:
     return out
 
 
-_worker_scan: _ClassScan | None = None  # set in each pool worker by _init_worker
+def _shares(q: int, K: int, workers: int) -> list[list[tuple[int, tuple[int, ...]]]]:
+    """The pieces of `_pieces` dealt to `workers` shares: largest first,
+    each to the first of the shares holding the fewest classes so far."""
+    shares = [[] for _ in range(workers)]
+    load = [0] * workers
+    for i, digits in _pieces(q, K, workers):
+        j = load.index(min(load))
+        shares[j].append((i, digits))
+        load[j] += q ** (K - 1 - i - len(digits))
+    return shares
 
 
-def _init_worker(scan: _ClassScan) -> None:
-    global _worker_scan
-    _worker_scan = scan
+def _run_shares(scan: _ClassScan, shares) -> list:
+    """The parts of every piece of `shares`: share 0 walked in this
+    process, each other non-empty share in a child made by os.fork().
+
+    A child inherits the scan, inner block included, and sends back the
+    pickled parts, or the exception it raised, through a pipe. This
+    process walks share 0, then reads each pipe to its end, reaps each
+    child and re-raises a child's exception. If it raises first, the
+    children still running are killed and reaped.
+
+    Raises:
+        InternalInconsistency: if a child ends without a whole result.
+    """
+    children = []  # (pid, read end of its pipe)
+    sent = None
+    try:
+        for share in shares[1:]:
+            if share:
+                r, w = os.pipe()
+                pid = os.fork()
+                if pid == 0:
+                    _walk_in_child(scan, share, r, w)
+                os.close(w)
+                children.append((pid, open(r, "rb")))
+        parts = [scan.run(piece) for piece in shares[0]]
+        sent = [pipe.read() for _, pipe in children]
+    finally:
+        status = []
+        for pid, pipe in children:
+            pipe.close()
+            if sent is None:
+                # imported here only: `signal` adds about 1 ms to every import of prmhull
+                from signal import SIGKILL
+
+                os.kill(pid, SIGKILL)
+            status.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+    for (pid, _), data, code in zip(children, sent, status):
+        try:
+            got = pickle.loads(data)
+        except (EOFError, pickle.UnpicklingError):
+            raise InternalInconsistency(
+                f"scan worker {pid} exited with code {code} and no whole result"
+            ) from None
+        if isinstance(got, BaseException):
+            raise got
+        parts.extend(got)
+    return parts
 
 
-def _run_piece(piece):
-    return _worker_scan.run(piece)
+def _walk_in_child(scan: _ClassScan, share, r: int, w: int):
+    """Walk `share` in a forked child, write the pickled parts or exception
+    to the pipe end w, and leave by os._exit: the child never returns into
+    the caller's stack, runs no atexit handler and flushes no stdio it
+    inherited."""
+    try:
+        os.close(r)
+        try:
+            data = pickle.dumps([scan.run(piece) for piece in share])
+        except BaseException as exc:  # re-raised by the parent
+            data = pickle.dumps(exc)
+        with open(w, "wb") as pipe:
+            pipe.write(data)
+    finally:
+        os._exit(0)
 
 
 def _scan(C: LinearCode, target_w, budget: int, workers: int = 1, stop_at=None):
@@ -478,15 +554,19 @@ def _scan(C: LinearCode, target_w, budget: int, workers: int = 1, stop_at=None):
     the budget, then the weight. Scalar multiples share weight and
     support, so the scan visits the (q^K - 1)/(q - 1) messages whose
     first nonzero symbol is 1 and rebuilds A_0 = 1, A_w = (q - 1) * count.
-    One worker walks each stratum whole; a pool takes the strata in the
-    pieces of `_pieces`. `stop_at` (one worker only) ends the scan at the
+    One worker walks each stratum whole. More workers take the pieces of
+    `_pieces` in the shares of `_shares`, one share in this process and
+    each other in a forked child; where os.fork does not exist, or each
+    worker would score fewer than _MIN_WORKER_STEPS classes, the scan
+    runs on one worker. `stop_at` (one worker only) ends the scan at the
     first block of words that holds a word of weight below it; a scan it
     does not cut short must count all q^K messages.
 
     Raises:
         OutOfRange: if workers < 1 or target_w is not in 1..N.
         BudgetExceeded: if q^K > budget.
-        InternalInconsistency: if a scan not cut short loses messages.
+        InternalInconsistency: if a scan not cut short loses messages,
+            or a forked worker ends without a whole result.
     """
     if workers < 1:
         raise OutOfRange(f"workers must be >= 1; got {workers}")
@@ -501,13 +581,10 @@ def _scan(C: LinearCode, target_w, budget: int, workers: int = 1, stop_at=None):
     aborted = False
     if K:
         scan = _ClassScan(C.field, C.G.a, target_w)
-        if (total - 1) // (q - 1) < workers * _MIN_WORKER_STEPS:
+        if (total - 1) // (q - 1) < workers * _MIN_WORKER_STEPS or not hasattr(os, "fork"):
             workers = 1
         if workers > 1:
-            from multiprocessing import get_context
-
-            with get_context("fork").Pool(workers, _init_worker, (scan,)) as pool:
-                parts = list(pool.imap_unordered(_run_piece, _pieces(q, K, workers)))
+            parts = _run_shares(scan, _shares(q, K, workers))
         else:
             parts = (scan.run((i, ()), stop_at) for i in range(K))
         for c, s, aborted in parts:

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -230,6 +231,12 @@ def test_class_scan_matches_oracle(q, monkeypatch):
         assert dist.counts.tolist() == expected, workers
         assert fam.blocks == reference_blocks, workers
         assert weight_distribution(C, workers=workers).counts.tolist() == expected
+        assert_no_child_left()
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 # Random codes (rows, columns). Those of nine coordinates have q^K at most
@@ -322,15 +329,20 @@ def test_worker_counts_below_one_raise_before_any_work(workers, monkeypatch):
 
 
 def test_pieces_balance_two_workers():
-    # The 17-row F_3 scan on two workers: pieces handed out largest first
-    # keep the busier worker within 5% of an even split.
+    # The 17-row F_3 scan on two workers: the shares the scan walks hold
+    # every piece once, and the busier one is within 5% of an even split.
     q, K, workers = 3, 17, 2
-    sizes = [q ** (K - 1 - i - len(d)) for i, d in analyze._pieces(q, K, workers)]
-    assert sizes == sorted(sizes, reverse=True)
-    load = [0] * workers
-    for s in sizes:
-        load[load.index(min(load))] += s
-    assert max(load) <= 1.05 * sum(sizes) / workers
+    pieces = analyze._pieces(q, K, workers)
+
+    def size(piece):
+        return q ** (K - 1 - piece[0] - len(piece[1]))
+
+    assert [size(p) for p in pieces] == sorted(map(size, pieces), reverse=True)
+    shares = analyze._shares(q, K, workers)
+    assert len(shares) == workers
+    assert sorted(p for share in shares for p in share) == sorted(pieces)
+    load = [sum(map(size, share)) for share in shares]
+    assert max(load) <= 1.05 * sum(load) / workers
 
 
 def test_lost_messages_raise(monkeypatch):
@@ -404,6 +416,112 @@ def test_serial_scan_walks_each_stratum_whole(q, n, k, monkeypatch):
     expected = ref_weight_distribution(C.field, C.G.a)
     assert weight_distribution(C, workers=2).counts.tolist() == expected
     assert cuts == [(q, C.K, 2)]
+
+
+def in_child_only(monkeypatch, act):
+    """Make _ClassScan.run call act() in a forked child, and walk as
+    before in the scanning process."""
+    parent, real_run = os.getpid(), analyze._ClassScan.run
+
+    def run(self, piece, stop_at=None):
+        if os.getpid() != parent:
+            act()
+        return real_run(self, piece, stop_at)
+
+    monkeypatch.setattr(analyze, "_MIN_WORKER_STEPS", 1)
+    monkeypatch.setattr(analyze._ClassScan, "run", run)
+
+
+def test_child_exception_raises_in_the_scan(monkeypatch):
+    def act():
+        raise OutOfRange("raised in a child")
+
+    in_child_only(monkeypatch, act)
+    with pytest.raises(OutOfRange, match="raised in a child"):
+        weight_distribution(prm_code(field_make(3), 2, 2), workers=3)
+    assert_no_child_left()
+
+
+def test_child_ending_without_a_result_raises(monkeypatch):
+    in_child_only(monkeypatch, lambda: os._exit(3))
+    with pytest.raises(InternalInconsistency, match="exited with code 3 and no whole result"):
+        weight_distribution(prm_code(field_make(3), 2, 2), workers=2)
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("error", [KeyboardInterrupt, ValueError])
+def test_parent_share_raising_kills_every_child(error, monkeypatch):
+    # Each child would sleep for 20 s and leave without a result; the scan
+    # must kill and reap them as soon as its own share raises.
+    parent = os.getpid()
+
+    def run(self, piece, stop_at=None):
+        if os.getpid() == parent:
+            raise error("raised in the scanning process")
+        time.sleep(20)
+        os._exit(0)
+
+    monkeypatch.setattr(analyze, "_MIN_WORKER_STEPS", 1)
+    monkeypatch.setattr(analyze._ClassScan, "run", run)
+    t0 = time.monotonic()
+    with pytest.raises(error, match="raised in the scanning process"):
+        weight_distribution(prm_code(field_make(3), 2, 2), workers=3)
+    assert time.monotonic() - t0 < 10
+    assert_no_child_left()
+
+
+def test_forked_scan_walks_a_share_itself_without_multiprocessing():
+    # In a fresh interpreter, so no other module has imported it: a
+    # two-worker scan imports no multiprocessing, and the scanning
+    # process walks share 0 of _shares itself.
+    script = """
+import os, sys
+import prmhull
+import prmhull.analyze as analyze
+
+analyze._MIN_WORKER_STEPS = 1
+me, seen, real_run = os.getpid(), [], analyze._ClassScan.run
+
+def run(self, piece, stop_at=None):
+    if os.getpid() == me:
+        seen.append(piece)
+    return real_run(self, piece, stop_at)
+
+analyze._ClassScan.run = run
+C = prmhull.prm_code(prmhull.field_make(3), 2, 2)
+two = prmhull.weight_distribution(C, workers=2)
+assert "multiprocessing" not in sys.modules
+assert seen and seen == analyze._shares(3, C.K, 2)[0], seen
+assert two == prmhull.weight_distribution(C)
+print("ok")
+"""
+    paths = [str(Path(analyze.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(x for x in paths if x))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout == "ok\n"
+
+
+def test_scan_without_fork_walks_on_one_worker(monkeypatch):
+    # Where os.fork does not exist, a scan asked for more workers walks
+    # each stratum whole in the scanning process, as a demoted scan does.
+    runs, real_run = [], analyze._ClassScan.run
+
+    def run(self, piece, stop_at=None):
+        runs.append(piece)
+        return real_run(self, piece, stop_at)
+
+    monkeypatch.setattr(analyze, "_MIN_WORKER_STEPS", 1)
+    monkeypatch.setattr(analyze._ClassScan, "run", run)
+    monkeypatch.delattr(os, "fork")
+    C = prm_code(field_make(3), 2, 2)
+    w = min_dist_formula(2, 2, 3)
+    dist, fam = analyze.weight_distribution_with_supports(C, w, workers=3)
+    assert runs == [(i, ()) for i in range(C.K)]
+    assert dist.counts.tolist() == ref_weight_distribution(C.field, C.G.a)
+    assert fam.blocks == ref_supports(C.field, C.G.a, w)
 
 
 def test_distribution_invariants():
