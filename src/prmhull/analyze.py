@@ -481,14 +481,20 @@ def _shares(q: int, K: int, workers: int) -> list[list[tuple[int, tuple[int, ...
     return shares
 
 
+class _ChildTraceback(Exception):
+    """The formatted traceback of an exception raised in a scan worker,
+    chained as the cause of its re-raise, since pickling drops it."""
+
+
 def _run_shares(scan: _ClassScan, shares) -> list:
     """The parts of every piece of `shares`: share 0 walked in this
     process, each other non-empty share in a child made by os.fork().
 
     A child inherits the scan, inner block included, and sends back the
-    pickled parts, or the exception it raised, through a pipe. This
-    process walks share 0, then reads each pipe to its end, reaps each
-    child and re-raises a child's exception. If it raises first, the
+    pickled parts, or the exception it raised with its formatted
+    traceback, through a pipe. This process walks share 0, then reads each
+    pipe to its end, reaps each child and re-raises a child's exception,
+    chained to the child's traceback as its cause. If it raises first, the
     children still running are killed and reaped.
 
     Raises:
@@ -524,23 +530,27 @@ def _run_shares(scan: _ClassScan, shares) -> list:
             raise InternalInconsistency(
                 f"scan worker {pid} exited with code {code} and no whole result"
             ) from None
-        if isinstance(got, BaseException):
-            raise got
+        if isinstance(got, tuple):
+            exc, text = got
+            raise exc from _ChildTraceback(text)
         parts.extend(got)
     return parts
 
 
 def _walk_in_child(scan: _ClassScan, share, r: int, w: int):
-    """Walk `share` in a forked child, write the pickled parts or exception
-    to the pipe end w, and leave by os._exit: the child never returns into
-    the caller's stack, runs no atexit handler and flushes no stdio it
-    inherited."""
+    """Walk `share` in a forked child, write the pickled parts, or the
+    exception it raised and its formatted traceback, to the pipe end w, and
+    leave by os._exit: the child never returns into the caller's stack,
+    runs no atexit handler and flushes no stdio it inherited."""
     try:
         os.close(r)
         try:
             data = pickle.dumps([scan.run(piece) for piece in share])
         except BaseException as exc:  # re-raised by the parent
-            data = pickle.dumps(exc)
+            # imported on this failure path only, as `signal` is on the kill path
+            import traceback
+
+            data = pickle.dumps((exc, "".join(traceback.format_exception(exc))))
         with open(w, "wb") as pipe:
             pipe.write(data)
     finally:

@@ -38,7 +38,7 @@ from .analyze import (
     weight_distribution,
     weight_distribution_with_supports,
 )
-from .code import code_from_rows, hull
+from .code import code_from_rows
 from .errors import (
     BudgetExceeded,
     InternalInconsistency,
@@ -49,17 +49,13 @@ from .errors import (
 )
 from .exactla import MatrixFq
 from .field import field_make
-from .geometry import evaluate, projective_points
 from .prm import (
-    NO_CLOSED_FORM,
     PrmParams,
+    check_hull_basis,
     classification_report,
     dim_mr,
     dim_sorensen,
     dual_description,
-    hull_basis_predicted,
-    hull_dim_cases,
-    hull_dim_predicted,
     min_dist_formula,
     prm_code,
     rsj_hull_dim,
@@ -209,8 +205,7 @@ def cmd_params(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    field = field_make(args.q)
-    rep = classification_report(field, args.n, args.k)
+    rep = classification_report(field_make(args.q), args.n, args.k)
     if args.json:
         _emit_json(rep.to_json())
     else:
@@ -236,38 +231,19 @@ def cmd_classify(args) -> int:
 
 
 def cmd_hull(args) -> int:
-    field = field_make(args.q)
-    cases = hull_dim_cases(args.n, args.k, args.q)
-    predicted = hull_dim_predicted(args.n, args.k, args.q)
-    closed = predicted is not NO_CLOSED_FORM
-    C = prm_code(field, args.n, args.k)
-    rep = hull(C)
-    agree = (not closed) or predicted == rep.hull_dim
+    report = classification_report(field_make(args.q), args.n, args.k)
+    rep, predicted = report.hull, report.to_json()["predicted"]["hull_dim"]
+    members, basis_ok = check_hull_basis(report) if args.emit_basis else ([], None)
+    agree = report.hull_agree and basis_ok is not False
 
-    basis_monos = None
-    basis_checks: list[tuple[str, bool]] = []
-    basis_ok = None
-    if args.emit_basis:
-        basis = hull_basis_predicted(args.n, args.k, args.q)
-        if basis is not NO_CLOSED_FORM:
-            P = projective_points(field, args.n)
-            for m in basis:
-                row = evaluate(m, P).reshape(1, -1)
-                basis_checks.append((_mono_str(m), bool(rep.hull_basis.contains_rows(row))))
-            basis_monos = basis
-            basis_ok = (
-                all(ok for _, ok in basis_checks) and len(basis) == rep.hull_dim
-            )
-            agree = agree and basis_ok
-
-    payload = rep.to_json(basis_monomials=basis_monos)
+    payload = rep.to_json(basis_monomials=None if basis_ok is None else [m for m, _ in members])
     payload.update(
         n=args.n,
         k=args.k,
         q=args.q,
-        K=C.K,
-        closed_form=predicted if closed else "no-closed-form",
-        cases=[label for label, _ in cases],
+        K=report.K,
+        closed_form=predicted,
+        cases=list(report.hull_cases),
         agree=agree,
     )
     if basis_ok is not None:
@@ -280,22 +256,18 @@ def cmd_hull(args) -> int:
     else:
         print(
             f"hull of C(n={args.n}, k={args.k}, q={args.q}): "
-            f"dim={rep.hull_dim} gram_rank={rep.gram_rank} K={C.K}"
+            f"dim={rep.hull_dim} gram_rank={rep.gram_rank} K={report.K}"
         )
-        if closed:
-            print(f"closed-form: {predicted} via case {', '.join(payload['cases'])}")
+        if report.hull_dim_source == "closed-form":
+            print(f"closed-form: {predicted} via case {', '.join(report.hull_cases)}")
         else:
             print("closed-form: no-closed-form (value above is constructive)")
-        if args.emit_basis:
-            if basis_monos is None:
-                print("predicted basis: no-closed-form")
-            else:
-                for name, ok in basis_checks:
-                    print(f"  {name}: in-hull={_yesno(ok)}")
-                print(
-                    f"predicted basis: {len(basis_monos)} monomials, "
-                    f"verified={_yesno(bool(basis_ok))}"
-                )
+        for m, ok in members:
+            print(f"  {_mono_str(m)}: in-hull={_yesno(ok)}")
+        if basis_ok is not None:
+            print(f"predicted basis: {len(members)} monomials, verified={_yesno(basis_ok)}")
+        elif args.emit_basis:
+            print("predicted basis: no-closed-form")
         print(f"agree: {_yesno(agree)}")
         if args.emit_matrix:
             print(payload["hull_basis_text"], end="")
@@ -562,95 +534,93 @@ def _check(ok: bool, what) -> None:
         raise InternalInconsistency(str(what))
 
 
+_KNOWN_PARAMETERS = {
+    (1, 1, 3): (4, 2, 3),
+    (3, 3, 3): (40, 20, 9),
+    (1, 2, 5): (6, 3, 4),
+    (2, 1, 3): (13, 3, 9),
+    (2, 2, 5): (31, 6, 20),
+}
+
+
+def _check_formulas():
+    for (n, k, q), (N, K, D) in _KNOWN_PARAMETERS.items():
+        _check(PrmParams(n, k, q).N == N, (n, k, q))
+        _check(dim_sorensen(n, k, q) == K == dim_mr(n, k, q), (n, k, q))
+        _check(min_dist_formula(n, k, q) == D, (n, k, q))
+
+
+def _check_distances():
+    for (n, k, q), (N, K, D) in _KNOWN_PARAMETERS.items():
+        if (n, k, q) == (3, 3, 3):
+            continue  # 3^20 codewords; covered by --full
+        C = prm_code(field_make(q), n, k)
+        _check((C.N, C.K) == (N, K), (n, k, q))
+        _check(min_distance(C) == D, (n, k, q))
+
+
+def _check_tetracode():
+    dist = weight_distribution(prm_code(field_make(3), 1, 1))
+    _check(dist.to_pairs() == [[0, 1], [3, 8]], dist.to_pairs())
+    _check(dist.to_polynomial_string() == "x^4 + 8xy^3", dist.to_polynomial_string())
+
+
+def _check_tetracode_design():
+    C = prm_code(field_make(3), 1, 1)
+    _, fam = weight_distribution_with_supports(C, 3)
+    _check(len(fam.blocks) == 4, len(fam.blocks))
+    _check(design_lambda(fam, 1) == 3, "lambda_1")
+    _check(design_lambda(fam, 2) == 2, "lambda_2")
+
+
+def _check_reference():
+    ref = REFERENCE_WEIGHT_DISTRIBUTIONS[(3, 3, 3)]
+    _check(sum(ref.values()) == 3**20, "coefficients must sum to 3^20")
+    _check(len(ref) == 12 and ref[0] == 1, "twelve weights, A_0 = 1")
+    _check(min(w for w in ref if w > 0) == 9 and max(ref) == 39, "weights 9..39")
+    des = REFERENCE_DESIGNS[(3, 3, 3)]
+    _check(des["words"] == ref[9] == 2 * des["blocks"], "two words per block")
+    # Double count (pair, block) incidences two ways.
+    pairs = des["lambda"] * math.comb(40, des["t"])
+    _check(pairs == des["blocks"] * math.comb(des["w"], des["t"]), "incidences")
+
+
+def _check_small_sweep():
+    _, summary = run_sweep(SweepSpec((1, 2), (2, 3, 4, 5), "all"))
+    _check(summary["disagree"] == 0, summary)
+    _check(summary["no_closed_form"] == 0, summary)
+
+
+def _check_rsj():
+    for q in (3, 4, 5):
+        for k in range(1, 2 * (q - 1) + 1):
+            hull_dim = classification_report(field_make(q), 2, k).constructed["hull_dim"]
+            _check(rsj_hull_dim(k, q) == hull_dim, (k, q))
+
+
+def _check_full(budget: int, workers: int):
+    C = prm_code(field_make(3), 3, 3)
+    dist, fam = weight_distribution_with_supports(C, 9, budget=budget, workers=workers)
+    got = {w: c for w, c in dist.to_pairs()}
+    _check(got == REFERENCE_WEIGHT_DISTRIBUTIONS[(3, 3, 3)], "distribution")
+    des = REFERENCE_DESIGNS[(3, 3, 3)]
+    _check(len(fam.blocks) == des["blocks"], len(fam.blocks))
+    _check(design_lambda(fam, des["t"]) == des["lambda"], "lambda")
+
+
 def _selftest_steps(full: bool, budget: int, workers: int):
-    shared: dict = {}
-    steps: list[tuple[str, object]] = []
-
-    def step(name):
-        def register(fn):
-            steps.append((name, fn))
-            return fn
-
-        return register
-
-    known = {
-        (1, 1, 3): (4, 2, 3),
-        (3, 3, 3): (40, 20, 9),
-        (1, 2, 5): (6, 3, 4),
-        (2, 1, 3): (13, 3, 9),
-        (2, 2, 5): (31, 6, 20),
-    }
-
-    @step("parameter-formulas")
-    def _check_formulas():
-        for (n, k, q), (N, K, D) in known.items():
-            _check(PrmParams(n, k, q).N == N, (n, k, q))
-            _check(dim_sorensen(n, k, q) == K == dim_mr(n, k, q), (n, k, q))
-            _check(min_dist_formula(n, k, q) == D, (n, k, q))
-
-    @step("small-code-distances")
-    def _check_distances():
-        for (n, k, q), (N, K, D) in known.items():
-            if (n, k, q) == (3, 3, 3):
-                continue  # 3^20 codewords; covered by --full
-            C = prm_code(field_make(q), n, k)
-            _check((C.N, C.K) == (N, K), (n, k, q))
-            _check(min_distance(C) == D, (n, k, q))
-
-    @step("tetracode-enumerator")
-    def _check_tetracode():
-        dist = weight_distribution(prm_code(field_make(3), 1, 1))
-        _check(dist.to_pairs() == [[0, 1], [3, 8]], dist.to_pairs())
-        _check(dist.to_polynomial_string() == "x^4 + 8xy^3", dist.to_polynomial_string())
-
-    @step("tetracode-design")
-    def _check_tetracode_design():
-        C = prm_code(field_make(3), 1, 1)
-        _, fam = weight_distribution_with_supports(C, 3)
-        _check(len(fam.blocks) == 4, len(fam.blocks))
-        _check(design_lambda(fam, 1) == 3, "lambda_1")
-        _check(design_lambda(fam, 2) == 2, "lambda_2")
-
-    @step("embedded-reference-consistency")
-    def _check_reference():
-        ref = REFERENCE_WEIGHT_DISTRIBUTIONS[(3, 3, 3)]
-        _check(sum(ref.values()) == 3**20, "coefficients must sum to 3^20")
-        _check(len(ref) == 12 and ref[0] == 1, "twelve weights, A_0 = 1")
-        _check(min(w for w in ref if w > 0) == 9 and max(ref) == 39, "weights 9..39")
-        des = REFERENCE_DESIGNS[(3, 3, 3)]
-        _check(des["words"] == ref[9] == 2 * des["blocks"], "two words per block")
-        # Double count (pair, block) incidences two ways.
-        pairs = des["lambda"] * math.comb(40, des["t"])
-        _check(pairs == des["blocks"] * math.comb(des["w"], des["t"]), "incidences")
-
-    @step("sweep-small-grid")
-    def _check_small_sweep():
-        rows, summary = run_sweep(SweepSpec((1, 2), (2, 3, 4, 5), "all"))
-        _check(summary["disagree"] == 0, summary)
-        _check(summary["no_closed_form"] == 0, summary)
-        shared["rows"] = {(r["n"], r["k"], r["q"]): r for r in rows}
-
-    @step("two-variable-hull-formula")
-    def _check_rsj():
-        for q in (3, 4, 5):
-            for k in range(1, 2 * (q - 1) + 1):
-                row = shared["rows"][(2, k, q)]
-                _check(rsj_hull_dim(k, q) == row["constructed"]["hull_dim"], (k, q))
-
+    """The selftest's (name, check) steps, each independent of the others."""
+    steps = [
+        ("parameter-formulas", _check_formulas),
+        ("small-code-distances", _check_distances),
+        ("tetracode-enumerator", _check_tetracode),
+        ("tetracode-design", _check_tetracode_design),
+        ("embedded-reference-consistency", _check_reference),
+        ("sweep-small-grid", _check_small_sweep),
+        ("two-variable-hull-formula", _check_rsj),
+    ]
     if full:
-
-        @step("full-reference-enumeration")
-        def _check_full():
-            C = prm_code(field_make(3), 3, 3)
-            dist, fam = weight_distribution_with_supports(
-                C, 9, budget=budget, workers=workers
-            )
-            got = {w: c for w, c in dist.to_pairs()}
-            _check(got == REFERENCE_WEIGHT_DISTRIBUTIONS[(3, 3, 3)], "distribution")
-            des = REFERENCE_DESIGNS[(3, 3, 3)]
-            _check(len(fam.blocks) == des["blocks"], len(fam.blocks))
-            _check(design_lambda(fam, des["t"]) == des["lambda"], "lambda")
-
+        steps.append(("full-reference-enumeration", lambda: _check_full(budget, workers)))
     return steps
 
 

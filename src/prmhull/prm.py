@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .code import (
+    HullReport,
     LinearCode,
     adopt_dual,
     hull,
@@ -382,7 +383,9 @@ def adjoin_ones(C: LinearCode, label: str = "") -> LinearCode:
 
 @dataclass
 class ClassificationReport:
-    """Predicted vs constructed classification at one parameter point."""
+    """Predicted vs constructed classification at one parameter point, with
+    the code, its HullReport, the labels of every matching closed-form hull
+    case, and hull_agree: no closed form, or it equals the hull dimension."""
 
     params: PrmParams
     N: int
@@ -392,6 +395,10 @@ class ClassificationReport:
     constructed: dict
     agree: bool
     hull_dim_source: str
+    code: PrmCode
+    hull: HullReport
+    hull_cases: tuple[str, ...]
+    hull_agree: bool
 
     def to_json(self) -> dict:
         pred = dict(self.predicted)
@@ -422,8 +429,8 @@ def classify_code(C: PrmCode) -> ClassificationReport:
     """Measure the predicates and hull of a proper code C(n, k, q) and
     compare them with every closed-form prediction at its point."""
     n, k, q = C.n, C.k, C.field.q
-    pred = dict(classify_predicted(n, k, q))
-    pred["hull_dim"] = hull_dim_predicted(n, k, q)
+    flags = classify_predicted(n, k, q)
+    pred = dict(flags, hull_dim=hull_dim_predicted(n, k, q))
     rep = hull(C)
     cons = {
         "self_dual": is_self_dual(C),
@@ -431,10 +438,9 @@ def classify_code(C: PrmCode) -> ClassificationReport:
         "lcd": is_lcd(C),
         "hull_dim": rep.hull_dim,
     }
-    agree = all(pred[key] == cons[key] for key in ("self_dual", "self_orthogonal", "lcd"))
     closed = pred["hull_dim"] is not NO_CLOSED_FORM
-    if closed:
-        agree = agree and pred["hull_dim"] == cons["hull_dim"]
+    hull_agree = not closed or pred["hull_dim"] == rep.hull_dim
+    agree = hull_agree and all(cons[key] == value for key, value in flags.items())
     return ClassificationReport(
         PrmParams(n, k, q),
         C.N,
@@ -444,4 +450,27 @@ def classify_code(C: PrmCode) -> ClassificationReport:
         cons,
         agree,
         "closed-form" if closed else "constructive",
+        C,
+        rep,
+        tuple(label for label, _ in hull_dim_cases(n, k, q)),
+        hull_agree,
     )
+
+
+def check_hull_basis(report: ClassificationReport):
+    """([(monomial, lies in the hull), ...], verified) for the predicted
+    hull basis, where verified means every member lies in the hull and
+    their count is the hull dimension; ([], None) where none is predicted.
+
+    Both closed basis cases have k < q - 1, so each member is read as its
+    generator row of the code; InternalInconsistency if one is not a row.
+    """
+    C, rep = report.code, report.hull
+    basis = hull_basis_predicted(C.n, C.k, C.field.q)
+    if basis is NO_CLOSED_FORM:
+        return [], None
+    rows = dict(zip(C.monomials, C.G.a))
+    if any(m not in rows for m in basis):
+        raise InternalInconsistency(f"a predicted hull member is not a row of {C.label}")
+    members = [(m, bool(rep.hull_basis.contains_rows(rows[m][None]))) for m in basis]
+    return members, all(ok for _, ok in members) and len(members) == rep.hull_dim

@@ -28,7 +28,6 @@ from .prm import (
     classify_code,
     dim_mr,
     dim_sorensen,
-    hull_dim_cases,
     lcd_witness,
     prm_code,
     verify_dual,
@@ -95,7 +94,7 @@ def _sweep_row(field, n: int, k: int, get_code, distance_budget: int = 0) -> dic
         dual_verified=dual_ok,
         ones_outside_dual_base=ones_outside,
         witness_in_hull=witness_ok,
-        hull_cases=[label for label, _ in hull_dim_cases(n, k, q)],
+        hull_cases=list(report.hull_cases),
         min_distance=d,
         distance_matches_formula=distance_ok,
     )

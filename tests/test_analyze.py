@@ -437,9 +437,13 @@ def test_child_exception_raises_in_the_scan(monkeypatch):
         raise OutOfRange("raised in a child")
 
     in_child_only(monkeypatch, act)
-    with pytest.raises(OutOfRange, match="raised in a child"):
+    with pytest.raises(OutOfRange, match="raised in a child") as info:
         weight_distribution(prm_code(field_make(3), 2, 2), workers=3)
     assert_no_child_left()
+    # the child's traceback is kept as the cause, down to the raising line
+    cause = str(info.value.__cause__)
+    assert ", in act\n" in cause
+    assert cause.rstrip().endswith("OutOfRange: raised in a child")
 
 
 def test_child_ending_without_a_result_raises(monkeypatch):

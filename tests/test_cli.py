@@ -199,10 +199,43 @@ def test_hull_emit_matrix_parses(capsys):
 
 
 def test_hull_disagreement_exits_2(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "hull_dim_predicted", lambda n, k, q: 999)
+    monkeypatch.setattr(prm, "hull_dim_predicted", lambda n, k, q: 999)
     code, out, _ = run(["hull", "--n", "2", "--k", "1", "--q", "5"], capsys)
     assert code == EXIT_DISAGREE
     assert "agree: no" in out
+
+
+def _predict_every_linear_monomial(monkeypatch):
+    # x0 and x1 already span the hull of C(2, 1, 5), so x2 lies outside it
+    monkeypatch.setattr(
+        prm, "hull_basis_predicted", lambda n, k, q: [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    )
+
+
+def test_hull_failing_basis_check_text(capsys, monkeypatch):
+    _predict_every_linear_monomial(monkeypatch)
+    code, out, _ = run(["hull", "--n", "2", "--k", "1", "--q", "5", "--emit-basis"], capsys)
+    assert code == EXIT_DISAGREE
+    assert out == (
+        "hull of C(n=2, k=1, q=5): dim=2 gram_rank=1 K=3\n"
+        "closed-form: 2 via case q>2k+1\n"
+        "  x0: in-hull=yes\n"
+        "  x1: in-hull=yes\n"
+        "  x2: in-hull=no\n"
+        "predicted basis: 3 monomials, verified=no\n"
+        "agree: no\n"
+    )
+
+
+def test_hull_failing_basis_check_json(capsys, monkeypatch):
+    _predict_every_linear_monomial(monkeypatch)
+    argv = ["hull", "--n", "2", "--k", "1", "--q", "5", "--emit-basis", "--json"]
+    code, out, _ = run(argv, capsys)
+    assert code == EXIT_DISAGREE
+    payload = json.loads(out)
+    assert payload["basis_monomials"] == ["1,0,0", "0,1,0", "0,0,1"]
+    assert payload["basis_verified"] is False and payload["agree"] is False
+    assert '"basis_verified": false' in out
 
 
 # ---------------------------------------------------------------------------
@@ -569,6 +602,19 @@ def test_no_module_imports_a_private_name_of_another():
     assert found == []
 
 
+def test_cli_imports_no_hull_judgement():
+    # A point's hull is judged in prmhull.prm; the hull command only renders it.
+    path = Path(cli.__file__)
+    tree = ast.parse(path.read_text(), filename=str(path))
+    judged = {"hull", "hull_dim_cases", "hull_dim_predicted", "hull_basis_predicted"}
+    imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    modules = [node.module or "" for node in imports if isinstance(node, ast.ImportFrom)]
+    modules += [a.name for node in imports if isinstance(node, ast.Import) for a in node.names]
+    names = {a.name for node in imports for a in node.names}
+    assert [m for m in modules if m.split(".")[-1] == "geometry"] == []
+    assert names & judged == set()
+
+
 def test_oracles_import_nothing_from_the_package():
     # The test oracles are references for the package's results, so they
     # share none of its code.
@@ -902,6 +948,24 @@ def test_selftest_passes(capsys):
     assert "selftest: PASS" in out
     for name in SELFTEST_STEPS:
         assert f"ok {name}" in out
+
+
+def test_selftest_steps_are_independent(capsys, monkeypatch):
+    # A failing sweep step leaves the two-variable hull formula step checking
+    # its own hull dimensions.
+    def disagreeing(spec, log=None):
+        return [], {"points": 1, "agree": 0, "disagree": 1, "no_closed_form": 0}
+
+    monkeypatch.setattr(cli, "run_sweep", disagreeing)
+    code, out, _ = run(["selftest"], capsys)
+    lines = out.splitlines()
+    assert code == EXIT_INTERNAL
+    assert [line for line in lines if line.startswith("FAIL ")] == [
+        "FAIL sweep-small-grid: InternalInconsistency(\"{'points': 1, 'agree': 0, "
+        "'disagree': 1, 'no_closed_form': 0}\")"
+    ]
+    assert "ok two-variable-hull-formula" in lines
+    assert lines[-1].startswith("selftest: FAIL (7 checks, 1 failures, ")
 
 
 def _full_selftest_scan(reference_fam, corrupt):

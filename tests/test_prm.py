@@ -10,7 +10,7 @@ import pytest
 from oracles import ref_weight_distribution
 from prmhull import field_make, prm
 from prmhull.code import contains_vector, dual, equal_codes, hull
-from prmhull.errors import OutOfRange
+from prmhull.errors import InternalInconsistency, OutOfRange
 from prmhull.exactla import SubspaceBasis
 from prmhull.geometry import num_projective_points, reduced_basis_monomials
 from prmhull.prm import (
@@ -18,6 +18,7 @@ from prmhull.prm import (
     DualDescription,
     PrmParams,
     arm_code,
+    check_hull_basis,
     classification_report,
     classify_predicted,
     described_dual_code,
@@ -25,6 +26,7 @@ from prmhull.prm import (
     dim_sorensen,
     dual_description,
     hull_basis_predicted,
+    hull_dim_cases,
     hull_dim_predicted,
     lcd_witness,
     min_dist_formula,
@@ -469,6 +471,38 @@ def test_hull_basis_spans_measured_hull():
         assert rep.hull_basis.contains_rows(rows), (n, k, q)
 
 
+def test_every_predicted_hull_member_labels_a_generator_row():
+    # Both closed basis cases have k < q - 1, where every degree-k monomial
+    # is a reduced basis monomial, so check_hull_basis reads rows of G.
+    for n in (1, 2, 3):
+        for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16):
+            for k in range(1, q - 1):
+                basis = hull_basis_predicted(n, k, q)
+                if basis is not NO_CLOSED_FORM:
+                    assert set(basis) <= set(reduced_basis_monomials(n, k, q)), (n, k, q)
+
+
+def test_check_hull_basis_verifies_each_member():
+    for n, k, q in [(2, 1, 5), (2, 2, 7), (3, 1, 4), (2, 2, 4), (2, 3, 5), (1, 2, 7)]:
+        members, verified = check_hull_basis(classification_report(field_make(q), n, k))
+        assert [m for m, _ in members] == hull_basis_predicted(n, k, q), (n, k, q)
+        assert all(ok for _, ok in members) and verified, (n, k, q)
+    assert check_hull_basis(classification_report(field_make(4), 2, 3)) == ([], None)
+
+
+def test_check_hull_basis_needs_as_many_members_as_the_hull_dimension(monkeypatch):
+    rep = classification_report(field_make(5), 2, 1)
+    monkeypatch.setattr(prm, "hull_basis_predicted", lambda n, k, q: [(1, 0, 0)])
+    assert check_hull_basis(rep) == ([((1, 0, 0), True)], False)
+
+
+def test_check_hull_basis_rejects_a_member_that_is_no_row(monkeypatch):
+    rep = classification_report(field_make(5), 2, 1)
+    monkeypatch.setattr(prm, "hull_basis_predicted", lambda n, k, q: [(1, 0, 0), (2, 0, 0)])
+    with pytest.raises(InternalInconsistency, match="not a row"):
+        check_hull_basis(rep)
+
+
 # ---------------------------------------------------------------------------
 # LCD witness
 
@@ -506,6 +540,23 @@ def test_report_self_dual_point():
     assert d["n"] == 3 and d["k"] == 3 and d["q"] == 3
     assert d["N"] == 40 and d["K"] == 20 and d["D_formula"] == 9
     assert d["agree"] is True
+
+
+@pytest.mark.parametrize("n,k,q", [(2, 1, 5), (3, 3, 3), (3, 4, 4), (2, 3, 4)])
+def test_report_keeps_the_hull_it_was_judged_from(n, k, q):
+    rep = classification_report(field_make(q), n, k)
+    assert rep.code.K == rep.K and (rep.code.n, rep.code.k) == (n, k)
+    assert rep.hull.hull_dim == rep.constructed["hull_dim"]
+    assert rep.hull_cases == tuple(label for label, _ in hull_dim_cases(n, k, q))
+    assert rep.hull_agree and rep.agree
+
+
+def test_report_hull_rule_alone_can_disagree(monkeypatch):
+    monkeypatch.setattr(prm, "hull_dim_predicted", lambda n, k, q: 999)
+    rep = classification_report(field_make(5), 2, 1)
+    assert rep.hull_dim_source == "closed-form"
+    assert not rep.hull_agree and not rep.agree
+    assert rep.constructed["hull_dim"] == 2
 
 
 def test_report_no_closed_form_point():
