@@ -137,9 +137,6 @@ class BlockFamily:
                 raise ValueError(f"block {b} leaves 0..{self.ground_size - 1}")
             seen.add(b)
 
-    def to_json(self) -> dict:
-        return {"ground_size": self.ground_size, "blocks": [list(b) for b in self.blocks]}
-
 
 # ---------------------------------------------------------------------------
 # reflected mixed-radix walk

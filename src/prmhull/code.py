@@ -7,6 +7,8 @@ closed-form predictions against them.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import DimensionMismatch, FieldMismatch, InternalInconsistency
@@ -20,7 +22,8 @@ class LinearCode:
     The generator is stored exactly as given (no auto-canonicalization)
     so that row i keeps its meaning — for Reed-Muller codes, the i-th
     basis monomial. The RREF computed for the rank check is kept as the
-    canonical basis, so each code is row-reduced once.
+    canonical basis, so each code is row-reduced once, and the rank of
+    G G^T is kept on that basis, so each row space ranks one Gram matrix.
     """
 
     def __init__(self, G: MatrixFq, label: str = ""):
@@ -43,7 +46,6 @@ class LinearCode:
         self.label = label
         self._canonical = basis
         self._gram: MatrixFq | None = None
-        self._gram_rank: int | None = None
 
     @property
     def field(self) -> Field:
@@ -67,9 +69,13 @@ class LinearCode:
         return self._gram
 
     def gram_rank(self) -> int:
-        if self._gram_rank is None:
-            self._gram_rank = rank(self.gram())
-        return self._gram_rank
+        """rank(G G^T), read from the canonical basis if a code on the same
+        row space has taken it: rank(T G G^T T^T) = rank(G G^T) for any
+        invertible T."""
+        basis = self._canonical
+        if basis.gram_rank is None:
+            basis.gram_rank = rank(self.gram())
+        return basis.gram_rank
 
     def __repr__(self) -> str:
         tag = f" {self.label}" if self.label else ""
@@ -82,9 +88,9 @@ class HullReport:
     The hull is (C + C^⊥)^⊥, where C + C^⊥ is the sum of the canonical
     bases of C and its dual, computed or proven (:func:`adopt_dual`):
     hull_dim is its codimension, and hull_basis is the canonical basis of
-    its orthogonal complement, formed on first read (the sum caches it)
-    unless the sum is C or C^⊥, whose complements are linked to each
-    other. gram_rank comes from row-reducing G G^T.
+    its orthogonal complement, formed on first read and kept here, unless
+    the sum is C or C^⊥, whose complements are linked to each other.
+    gram_rank comes from row-reducing G G^T.
     :func:`hull` raises InternalInconsistency unless
     hull_dim = K - gram_rank.
     """
@@ -94,7 +100,7 @@ class HullReport:
         self.hull_dim = span_sum.ambient - span_sum.dim
         self.gram_rank = gram_rank
 
-    @property
+    @functools.cached_property
     def hull_basis(self) -> SubspaceBasis:
         return self._sum.complement()
 
@@ -128,11 +134,11 @@ def _dual_label(C: LinearCode) -> str:
 def dual(C: LinearCode) -> LinearCode:
     """The dual code, generated by the complement of C's canonical basis.
 
-    C^⊥ is held once, as that complement, which the basis caches and
-    only :func:`adopt_dual` links: either a proven candidate, in which
-    case no complement is row-reduced, or the complement formed here on
-    first need. A complement that fails its proof is linked to nothing,
-    so the next call forms and proves it again.
+    C^⊥ is held once, as that complement, which only :func:`adopt_dual`
+    links, after its proof: either a proven candidate, in which case no
+    complement is row-reduced, or the complement formed here on first
+    need. A complement that fails its proof is linked to nothing, so the
+    next call forms and proves it again.
 
     Raises:
         InternalInconsistency: if a complement formed here is not
@@ -141,7 +147,7 @@ def dual(C: LinearCode) -> LinearCode:
     """
     own = C.canonical()
     if not own.complement_known():
-        basis = own.form_complement()
+        basis = own.complement()
         if not adopt_dual(C, basis):
             raise InternalInconsistency(_dual_fault(C, basis))
     return LinearCode.from_basis(own.complement(), label=_dual_label(C))
@@ -203,7 +209,7 @@ def hull(C: LinearCode) -> HullReport:
 
 def is_self_orthogonal(C: LinearCode) -> bool:
     """C ⊆ C^⊥, equivalently G G^T = 0."""
-    return not C.gram().a.any()
+    return C.gram_rank() == 0
 
 
 def is_lcd(C: LinearCode) -> bool:

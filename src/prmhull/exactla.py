@@ -28,7 +28,8 @@ Elimination is avoided wherever a canonical basis is already known. The
 sum of two canonical bases reduces only the rows the smaller one adds to
 the larger, after one exact product clears the larger's pivot columns,
 so the hull (C + C^⊥)^⊥ never stacks the two N-column bases; and a
-basis caches its orthogonal complement.
+basis holds its orthogonal complement once that is proven, and the rank
+of its Gram matrix once one code on it has taken it.
 
 Exact products run on float64 BLAS by Kronecker substitution, as in
 Dumas, Fousse and Salvy (J. Symb. Comp. 46(7), 2011): g of an element's
@@ -129,6 +130,9 @@ class SubspaceBasis:
         self.matrix = matrix
         self.pivots = pivots
         self._complement: SubspaceBasis | None = None
+        # rank of G G^T, the same for every generator G of this row space;
+        # set by the first LinearCode on it that ranks its Gram matrix
+        self.gram_rank: int | None = None
 
     @property
     def dim(self) -> int:
@@ -144,27 +148,18 @@ class SubspaceBasis:
         return cls(MatrixFq(M.field, R.a[:r]), pivots)
 
     def complement(self) -> "SubspaceBasis":
-        """Canonical basis of the orthogonal complement, as formed by
-        :meth:`form_complement`.
+        """Canonical basis of {x : b·x = 0 for all rows b}.
 
-        The result is cached on this instance, and this instance on the
-        result, since (V^⊥)^⊥ = V: a second call, or the complement of
-        the complement, costs nothing.
+        The complement linked by :meth:`link_complement` is returned as
+        is; otherwise one is formed afresh and linked to nothing. Row i of
+        the free-column basis has a 1 in the i-th non-pivot column, zeros
+        in the other non-pivot columns, and minus that column of the RREF
+        in the pivot columns. It is reduced only in reversed column order,
+        so it is row-reduced once more, unless it is the identity (this
+        basis is 0) or has no rows.
         """
-        if self._complement is None:
-            self.link_complement(self.form_complement())
-        return self._complement
-
-    def form_complement(self) -> "SubspaceBasis":
-        """Canonical basis of {x : b·x = 0 for all rows b}, formed afresh:
-        no cached complement is read, and the result is linked to nothing.
-
-        Row i of the free-column basis has a 1 in the i-th non-pivot
-        column, zeros in the other non-pivot columns, and minus that
-        column of the RREF in the pivot columns. It is reduced only in
-        reversed column order, so it is row-reduced once more, unless it
-        is the identity (this basis is 0) or has no rows.
-        """
+        if self._complement is not None:
+            return self._complement
         f = self.matrix.field
         pivots = set(self.pivots)
         free = [c for c in range(self.ambient) if c not in pivots]
@@ -176,7 +171,7 @@ class SubspaceBasis:
         return SubspaceBasis(MatrixFq(f, basis), tuple(free))
 
     def complement_known(self) -> bool:
-        """Whether complement() is cached: formed, or linked by link_complement."""
+        """Whether a complement is linked, so complement() forms none."""
         return self._complement is not None
 
     def link_complement(self, other: "SubspaceBasis") -> None:

@@ -622,6 +622,11 @@ def test_pairs_roundtrip_and_equality():
     assert dist != WeightDistribution([1, 0, 0, 0, 8])
 
 
+def test_min_nonzero_weight_of_the_zero_code_is_out_of_range():
+    with pytest.raises(OutOfRange, match="no nonzero codeword"):
+        WeightDistribution([1, 0, 0]).min_nonzero_weight()
+
+
 # ---------------------------------------------------------------------------
 # minimum distance
 

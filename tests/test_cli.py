@@ -367,6 +367,12 @@ def test_budgets_below_one_are_usage_errors(budget, capsys, monkeypatch):
         assert "--budget: must be at least 1" in err, argv
 
 
+def test_non_integer_budget_is_a_usage_error(capsys):
+    code, out, err = run(["wenum", "--n", "1", "--k", "1", "--q", "3", "--budget", "abc"], capsys)
+    assert code == EXIT_USAGE and out == ""
+    assert "invalid int value: 'abc'" in err
+
+
 def test_wenum_budget_exceeded_exits_3(capsys):
     code, _, err = run(
         ["wenum", "--n", "2", "--k", "2", "--q", "5", "--budget", "100"], capsys
@@ -574,8 +580,8 @@ def test_only_exactla_holds_the_complement_link():
 
 
 def test_only_adopt_dual_and_complement_link_a_complement():
-    # A basis becomes C^⊥ in one place: adopt_dual, after its proof. The
-    # other link is SubspaceBasis.complement() caching what it formed.
+    # A basis becomes C^⊥ in one place: adopt_dual, after its proof. A
+    # complement formed on a read is linked to nothing.
     callers = [
         f"{path.name}:{fn.name}"
         for path in sorted(Path(cli.__file__).resolve().parent.glob("*.py"))
@@ -586,7 +592,8 @@ def test_only_adopt_dual_and_complement_link_a_complement():
         and isinstance(node.func, ast.Attribute)
         and node.func.attr == "link_complement"
     ]
-    assert sorted(callers) == ["code.py:adopt_dual", "exactla.py:complement"]
+    assert callers == ["code.py:adopt_dual"]
+    assert not hasattr(exactla.SubspaceBasis, "form_complement")
 
 
 def test_no_module_imports_a_private_name_of_another():
@@ -801,6 +808,12 @@ def test_sweep_empty_k_list_usage_error(capsys):
     assert "--k" in err
 
 
+def test_sweep_non_integer_list_item_is_a_usage_error(capsys):
+    code, out, err = run(["sweep", "--n", "1,x", "--q", "3"], capsys)
+    assert code == EXIT_USAGE and out == ""
+    assert "error: --n: invalid literal" in err
+
+
 def test_sweep_unsatisfiable_grid_usage_error(capsys):
     code, _, err = run(["sweep", "--n", "1", "--q", "3", "--k", "99"], capsys)
     assert code == EXIT_USAGE
@@ -898,17 +911,24 @@ def test_sweep_row_reduces_each_code_once(monkeypatch):
     # Per point: the code and the dual-side code of degree n(q-1) - k
     # (each shared with another point), the rows the all-ones extension
     # of the dual-side code and C + C^⊥ add to the larger canonical
-    # basis, and the two Gram matrices. When the duality theorem holds,
-    # the described dual is proven to be C^⊥ and its canonical basis is
-    # the dual's, so the dual costs no reduction; the hull dimension is
-    # read off the sum, so its complement, the hull basis, is never
-    # formed. No matrix is wider than the code is long.
+    # basis, and the Gram matrices of C and C^⊥, each ranked once per row
+    # space. When the duality theorem holds, the described dual is proven
+    # to be C^⊥ and its canonical basis is the dual's, so the dual costs
+    # no reduction; the hull dimension is read off the sum, so its
+    # complement, the hull basis, is never formed. No matrix is wider
+    # than the code is long.
     real_rref = exactla._rref_array
+    real_mul = exactla._mat_mul_arrays
     calls = []
+    products = []
 
     def counting_rref(field, A):
         calls.append(A.shape[1])
         return real_rref(field, A)
+
+    def counting_mul(field, A, B):
+        products.append(A.shape)
+        return real_mul(field, A, B)
 
     real_row = sweep._sweep_row
     per_point = []
@@ -920,9 +940,11 @@ def test_sweep_row_reduces_each_code_once(monkeypatch):
         return row
 
     monkeypatch.setattr(exactla, "_rref_array", counting_rref)
+    monkeypatch.setattr(exactla, "_mat_mul_arrays", counting_mul)
     monkeypatch.setattr(sweep, "_sweep_row", counting_row)
     _, summary = run_sweep(SweepSpec((1, 2), (2, 3, 4, 5), "all"))
     assert summary["points"] == len(per_point) > 0
+    assert (len(calls), len(products)) == (104, 162)
     assert max(len(widths) for _, widths in per_point) <= 5
     assert all(w <= N for N, widths in per_point for w in widths)
 

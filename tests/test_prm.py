@@ -263,15 +263,16 @@ def test_verify_dual_reads_ones_outside_off_the_adjoin_sum():
 def test_verify_dual_forms_no_complement(monkeypatch):
     # The described dual is proven C^⊥ by orthogonality and dimension, so
     # no complement is formed, and dual(C) then returns its basis: every
-    # complement read finds one already known.
-    formed = []
-    real_form = SubspaceBasis.form_complement
+    # complement read finds one already linked.
+    unlinked = []
+    real_complement = SubspaceBasis.complement
 
     def spy(self):
-        formed.append(self)
-        return real_form(self)
+        if not self.complement_known():
+            unlinked.append(self)
+        return real_complement(self)
 
-    monkeypatch.setattr(SubspaceBasis, "form_complement", spy)
+    monkeypatch.setattr(SubspaceBasis, "complement", spy)
     for n, q in GRID:
         f = field_make(q)
         for k in all_k(n, q):
@@ -279,7 +280,7 @@ def test_verify_dual_forms_no_complement(monkeypatch):
             assert verify_dual(C, prm_code(f, n, n * (q - 1) - k))[0], (n, k, q)
             assert C.canonical().complement_known(), (n, k, q)
             dual(C)  # found linked, so it forms no complement either
-    assert formed == []
+    assert unlinked == []
 
 
 def test_verify_dual_rejects_a_wrong_described_dual(monkeypatch):
