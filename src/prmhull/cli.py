@@ -167,20 +167,14 @@ def cmd_params(args) -> int:
         "N": N,
         "regime": regime,
     }
-    if regime == "proper":
-        K_s = dim_sorensen(args.n, args.k, args.q)
-        K_m = dim_mr(args.n, args.k, args.q)
-        payload.update(
-            K=K_s,
-            K_sorensen=K_s,
-            K_mr=K_m,
-            D_formula=min_dist_formula(args.n, args.k, args.q),
-        )
-    elif regime == "span-one":
-        # Span of the all-ones vector: K = 1 and the one nonzero weight is N.
-        payload.update(K=1, K_sorensen=None, K_mr=None, D_formula=N)
-    else:  # full-space
-        payload.update(K=N, K_sorensen=None, K_mr=None, D_formula=1)
+    K, D = params.KD()
+    proper = regime == "proper"
+    payload.update(
+        K=K,
+        K_sorensen=K if proper else None,
+        K_mr=dim_mr(args.n, args.k, args.q) if proper else None,
+        D_formula=D,
+    )
     if args.emit_matrix:
         C = prm_code(field, args.n, args.k)
         payload["generator_text"] = C.G.to_text()
@@ -188,13 +182,13 @@ def cmd_params(args) -> int:
         _emit_json(payload)
         return EXIT_OK
     print(f"C(n={args.n}, k={args.k}, q={args.q}) over GF({args.q})")
-    if regime == "proper":
-        print(f"regime: proper  N={N} K={payload['K']} D_formula={payload['D_formula']}")
-        print(f"dimension formulas: dim_sorensen={payload['K_sorensen']} dim_mr={payload['K_mr']}")
+    if proper:
+        print(f"regime: proper  N={N} K={K} D_formula={D}")
+        print(f"dimension formulas: dim_sorensen={K} dim_mr={payload['K_mr']}")
     elif regime == "span-one":
-        print(f"regime: span-one (span of the all-ones vector)  N={N} K=1 D={N}")
+        print(f"regime: span-one (span of the all-ones vector)  N={N} K={K} D={D}")
     else:
-        print(f"regime: full-space (all of GF({args.q})^{N})  N={N} K={N} D=1")
+        print(f"regime: full-space (all of GF({args.q})^{N})  N={N} K={K} D={D}")
     if args.emit_matrix:
         print(payload["generator_text"], end="")
     return EXIT_OK
@@ -399,7 +393,7 @@ def cmd_wenum(args) -> int:
 def cmd_design(args) -> int:
     field = field_make(args.q)
     C = prm_code(field, args.n, args.k)
-    w = args.w if args.w is not None else min_dist_formula(args.n, args.k, args.q)
+    w = args.w if args.w is not None else PrmParams(args.n, args.k, args.q).KD()[1]
     t0 = time.monotonic()
     dist, fam = weight_distribution_with_supports(
         C, w, budget=args.budget, workers=args.workers

@@ -208,8 +208,10 @@ def hull(C: LinearCode) -> HullReport:
 
 
 def is_self_orthogonal(C: LinearCode) -> bool:
-    """C ⊆ C^⊥, equivalently G G^T = 0."""
-    return C.gram_rank() == 0
+    """C ⊆ C^⊥, equivalently G G^T = 0: the rank of G G^T is read if a
+    code on this row space has taken it, else G G^T is tested for zero."""
+    rank_taken = C.canonical().gram_rank
+    return rank_taken == 0 if rank_taken is not None else not C.gram().a.any()
 
 
 def is_lcd(C: LinearCode) -> bool:
@@ -219,7 +221,7 @@ def is_lcd(C: LinearCode) -> bool:
 
 def is_self_dual(C: LinearCode) -> bool:
     """C = C^⊥: self-orthogonal with K exactly half the length."""
-    return is_self_orthogonal(C) and 2 * C.K == C.N
+    return 2 * C.K == C.N and is_self_orthogonal(C)
 
 
 def contains_vector(C: LinearCode, v) -> bool:

@@ -79,6 +79,17 @@ class PrmParams:
             return "proper"
         return "full-space"
 
+    def KD(self) -> tuple[int, int]:
+        """Closed-form (K, D) in every regime: (1, N) for the span of the
+        all-ones vector, (N, 1) for the full space, and the dimension and
+        distance formulas for the proper codes."""
+        regime = self.regime()
+        if regime == "span-one":
+            return 1, self.N
+        if regime == "full-space":
+            return self.N, 1
+        return dim_sorensen(self.n, self.k, self.q), min_dist_formula(self.n, self.k, self.q)
+
 
 @dataclass(frozen=True)
 class DualDescription:
@@ -284,30 +295,22 @@ class PrmCode(LinearCode):
 def prm_code(field: Field, n: int, k: int) -> PrmCode:
     """The degree-k code on P^n(F_q).
 
-    k = 0 gives the span of the all-ones vector; 1 <= k <= n(q-1) the
-    proper codes; larger k the full space. The constructed rank is checked
-    against the dimension formula.
+    k = 0 gives the span of the all-ones vector, the evaluation of the
+    constant monomial; 1 <= k <= n(q-1) the proper codes; larger k the
+    full space. The constructed rank is checked against the closed-form
+    dimension of :meth:`PrmParams.KD`.
     """
     if n < 1 or k < 0:
         raise OutOfRange(f"need n >= 1, k >= 0; got n={n}, k={k}")
     q = field.q
     P = projective_points(field, n)
-    if k == 0:
-        monos: list[Monomial] = [(0,) * (n + 1)]
-        G = np.ones((1, P.N), dtype=np.int32)
-    else:
-        monos = reduced_basis_monomials(n, k, q)
-        G = evaluate_rows(monos, P)
+    monos = reduced_basis_monomials(n, k, q) or [(0,) * (n + 1)]
+    G = evaluate_rows(monos, P)
     try:
         C = PrmCode(MatrixFq(field, G), n, k, monos, label=f"PRM(n={n},k={k},q={q})")
     except DimensionMismatch as exc:
         raise InternalInconsistency(f"monomial evaluations are dependent: {exc}") from exc
-    if k == 0:
-        expected = 1
-    elif k <= n * (q - 1):
-        expected = dim_sorensen(n, k, q)
-    else:
-        expected = P.N
+    expected = PrmParams(n, k, q).KD()[0]
     if C.K != expected:
         raise InternalInconsistency(
             f"constructed rank {C.K} != formula dimension {expected} at n={n}, k={k}, q={q}"

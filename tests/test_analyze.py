@@ -799,6 +799,14 @@ def test_not_a_design_cases():
         design_lambda(BlockFamily(4, ((0, 1),)), 0)
 
 
+def test_uneven_coverage_is_not_a_design():
+    # Every pair and every point is covered, but unevenly: {0, 1} lies in
+    # two blocks and {1, 2} in one; point 0 in three blocks, point 1 in two.
+    fam = BlockFamily(4, ((0, 1, 2), (0, 1, 3), (0, 2, 3)))
+    assert design_lambda(fam, 2) is NOT_A_DESIGN
+    assert design_lambda(fam, 1) is NOT_A_DESIGN
+
+
 def test_projective_plane_code_gives_design():
     # Weight-9 words of the [13, 3, 9] code over F_3: the 13 lines of the
     # projective plane (complements of point sets of lines), a 2-design.

@@ -686,6 +686,42 @@ def test_design_default_weight_is_formula_distance(capsys):
     assert payload["lambda"] == 2  # every pair of the 4 points lies in 2 blocks
 
 
+def test_design_span_one_default_weight_is_the_length(capsys):
+    # k = 0: the span of the all-ones word, whose two nonzero words share one support
+    code, out, _ = run(["design", "--n", "1", "--k", "0", "--q", "3"], capsys)
+    assert code == EXIT_OK
+    assert "2 words of weight 4, 1 distinct supports" in out
+    assert "2-(4, 4, 1)" in out
+    code, out, _ = run(["design", "--n", "2", "--k", "0", "--q", "3", "--json"], capsys)
+    payload = json.loads(out)
+    assert code == EXIT_OK
+    assert (payload["w"], payload["blocks"], payload["lambda"]) == (13, 1, 1)
+
+
+def test_design_full_space_default_weight_is_one(capsys):
+    code, out, _ = run(
+        ["design", "--n", "1", "--k", "3", "--q", "3", "--t", "1"], capsys
+    )
+    assert code == EXIT_OK
+    assert "8 words of weight 1, 4 distinct supports" in out
+    assert "1-(4, 1, 1)" in out
+
+
+def test_design_explicit_weight_outside_the_proper_range(capsys):
+    code, out, _ = run(
+        ["design", "--n", "1", "--k", "0", "--q", "3", "--w", "3", "--t", "1"], capsys
+    )
+    assert code == EXIT_OK
+    assert "0 words of weight 3, 0 distinct supports" in out
+    assert "NotADesign" in out
+    code, out, _ = run(
+        ["design", "--n", "1", "--k", "3", "--q", "3", "--w", "2", "--json"], capsys
+    )
+    payload = json.loads(out)
+    assert code == EXIT_OK
+    assert (payload["words"], payload["blocks"], payload["lambda"]) == (24, 6, 1)
+
+
 # ---------------------------------------------------------------------------
 # sweep
 

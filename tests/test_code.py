@@ -337,6 +337,33 @@ def test_projective_line_code_hull():
     assert not is_lcd(C)
 
 
+def test_predicates_on_fresh_codes_row_reduce_nothing(monkeypatch):
+    # G G^T is tested for zero, and K against N/2 first; once hull() has
+    # ranked G G^T, the predicates read that rank. (3, 5, 9) has 2K != N;
+    # (2, 1, 3) is self-orthogonal but not self-dual.
+    cases = [(tetracode(), True, True)]
+    for n, k, q, self_orth in [(2, 1, 5, False), (2, 1, 3, True), (3, 5, 9, False)]:
+        cases.append((prm_code(field_make(q), n, k), self_orth, False))
+    calls = []
+    real_rref = exactla._rref_array
+
+    def spy(field, A):
+        calls.append(A.shape)
+        return real_rref(field, A)
+
+    monkeypatch.setattr(exactla, "_rref_array", spy)
+    for C, self_orth, self_dual in cases:
+        assert (is_self_orthogonal(C), is_self_dual(C)) == (self_orth, self_dual), C
+    assert calls == []
+    monkeypatch.setattr(exactla, "_rref_array", real_rref)
+    for C, _, _ in cases:
+        hull(C)
+    monkeypatch.setattr(exactla, "_rref_array", spy)
+    for C, self_orth, self_dual in cases:
+        assert (is_self_orthogonal(C), is_self_dual(C)) == (self_orth, self_dual), C
+    assert calls == []
+
+
 @pytest.mark.parametrize("n,k,q", [(3, 3, 3), (2, 3, 5), (2, 4, 4), (2, 2, 7)])
 def test_hull_reduces_no_stacked_block(monkeypatch, n, k, q):
     # C + C^⊥ is summed from the two canonical bases, so no row reduction

@@ -157,6 +157,38 @@ def test_large_degree_gives_full_space():
         assert C.K == C.N == num_projective_points(q, n)
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 7, 9, 16])
+def test_degree_zero_evaluates_the_constant_monomial(q):
+    for n in (1, 2, 3):
+        C = prm_code(field_make(q), n, 0)
+        assert C.G.a.dtype == np.int32 and C.G.a.shape == (1, num_projective_points(q, n))
+        assert (C.G.a == 1).all() and C.monomials == ((0,) * (n + 1),)
+
+
+def test_dependent_evaluations_are_an_internal_inconsistency(monkeypatch):
+    real = prm.evaluate_rows
+
+    def duplicated(monos, P):
+        rows = real(monos, P)
+        rows[-1] = rows[0]
+        return rows
+
+    monkeypatch.setattr(prm, "evaluate_rows", duplicated)
+    with pytest.raises(InternalInconsistency, match="monomial evaluations are dependent"):
+        prm_code(field_make(3), 2, 1)
+
+
+@pytest.mark.parametrize("k,K", [(0, 1), (1, 3), (5, 13)])
+def test_rank_is_checked_against_the_closed_form_in_every_regime(monkeypatch, k, K):
+    real = prm.PrmParams.KD
+    monkeypatch.setattr(prm.PrmParams, "KD", lambda self: (real(self)[0] + 1, real(self)[1]))
+    with pytest.raises(
+        InternalInconsistency,
+        match=rf"constructed rank {K} != formula dimension {K + 1} at n=2, k={k}, q=3",
+    ):
+        prm_code(field_make(3), 2, k)
+
+
 def test_construction_rank_matches_formula_on_grid():
     for n, q in GRID:
         f = field_make(q)
@@ -369,6 +401,12 @@ def test_hull_dim_mid_range():
     # (q-1)/2 < k < q-1: K - (2k+1-(q-1)).
     assert hull_dim_predicted(2, 2, 4) == math.comb(4, 2) - 2
     assert hull_dim_predicted(2, 3, 5) == math.comb(5, 3) - 3
+
+
+def test_disagreeing_hull_cases_are_an_internal_inconsistency(monkeypatch):
+    monkeypatch.setattr(prm, "hull_dim_cases", lambda n, k, q: (("a", 1), ("b", 2)))
+    with pytest.raises(InternalInconsistency, match="overlapping hull cases disagree"):
+        hull_dim_predicted(2, 1, 3)
 
 
 def test_hull_dim_no_closed_form_gap():
@@ -596,3 +634,12 @@ def test_params_helper():
     assert PrmParams(2, 7, 4).regime() == "full-space"
     with pytest.raises(OutOfRange):
         PrmParams(0, 1, 4)
+
+
+def test_params_closed_form_K_and_D_in_every_regime():
+    assert PrmParams(2, 0, 4).KD() == (1, 21)
+    assert PrmParams(2, 7, 4).KD() == (21, 1)
+    assert PrmParams(2, 3, 4).KD() == (dim_sorensen(2, 3, 4), min_dist_formula(2, 3, 4))
+    for n, q in GRID:
+        for k in range(0, n * (q - 1) + 3):
+            assert PrmParams(n, k, q).KD()[0] == prm_code(field_make(q), n, k).K
