@@ -209,7 +209,6 @@ class _WeightTally:
         self.weights = buf[:n]
         self._padded = len(buf) - n
         self._steps = 0
-        self._below = np.empty_like(self.weights)
 
     def add(self) -> None:
         """Count the current weights."""
@@ -219,15 +218,6 @@ class _WeightTally:
             h = np.bincount(self._pairs)
             self._tally[: len(h)] += h
             self._steps += 1
-
-    def any_below(self, stop_at: int) -> bool:
-        """Whether a current weight w has 0 < w < stop_at.
-
-        Weight 0 wraps to the type's maximum, at least N, so it never
-        counts; every other weight w becomes w - 1.
-        """
-        np.subtract(self.weights, 1, out=self._below)
-        return int(self._below.min()) < min(stop_at, self.N + 1) - 1
 
     def counts(self) -> np.ndarray:
         """A_0..A_N over every step counted."""
@@ -274,7 +264,7 @@ def _block3(field, rows):
     return block
 
 
-def _walk3(field, block, outer, offset, target_w, stop_at):
+def _walk3(field, block, outer, offset, target_w):
     lo, hi = block
     W, n = lo.shape
     N = len(offset)
@@ -304,19 +294,15 @@ def _walk3(field, block, outer, offset, target_w, stop_at):
             if hits.any():
                 for col in diff[:, hits].T:
                     raw.add(tuple(col.tolist()))
-        return stop_at is not None and tally.any_below(stop_at)
 
-    aborted = score()
-    if not aborted:
-        for pos, delta in _gray_steps(3, len(steps)):
-            sl, sh = steps[pos]
-            # -(cur ± step) = -cur ∓ step, and -step has the planes of step swapped
-            nlo, nhi = _add3(nlo, nhi, sh, sl) if delta > 0 else _add3(nlo, nhi, sl, sh)
-            if score():
-                aborted = True
-                break
+    score()
+    for pos, delta in _gray_steps(3, len(steps)):
+        sl, sh = steps[pos]
+        # -(cur ± step) = -cur ∓ step, and -step has the planes of step swapped
+        nlo, nhi = _add3(nlo, nhi, sh, sl) if delta > 0 else _add3(nlo, nhi, sl, sh)
+        score()
     sup = {_unpack_support_words(k) for k in raw} if raw is not None else None
-    return tally.counts(), sup, aborted
+    return tally.counts(), sup
 
 
 def _unpack_support_words(words: tuple[int, ...]) -> tuple[int, ...]:
@@ -374,7 +360,7 @@ def _block_generic(field, rows):
     return block
 
 
-def _walk_generic(field, block, outer, offset, target_w, stop_at):
+def _walk_generic(field, block, outer, offset, target_w):
     N, n = block.shape
     # Each outer symbol steps through the additive group F_p^e: row g
     # becomes the e rows x^b * g (element index p^b is x^b), and the walk
@@ -397,16 +383,13 @@ def _walk_generic(field, block, outer, offset, target_w, stop_at):
             if hits.any():
                 for col in differs[:, hits].T:
                     supports.add(tuple(np.flatnonzero(col).tolist()))
-        return stop_at is not None and tally.any_below(stop_at)
 
-    if score():
-        return tally.counts(), supports, True
+    score()
     for pos, delta in _gray_steps(field.p, len(steps)):
         # -(cur ± step) = -cur ∓ step
         neg = field.vsub(neg, steps[pos]) if delta > 0 else field.vadd(neg, steps[pos])
-        if score():
-            return tally.counts(), supports, True
-    return tally.counts(), supports, False
+        score()
+    return tally.counts(), supports
 
 
 # ---------------------------------------------------------------------------
@@ -431,8 +414,8 @@ class _ClassScan:
         build, self.walk = (_block3, _walk3) if field.q == 3 else (_block_generic, _walk_generic)
         self.block = build(field, G[K - self.depth :])
 
-    def run(self, piece, stop_at=None):
-        """(counts, supports, aborted) over the words of one piece."""
+    def run(self, piece):
+        """(counts, supports) over the words of one piece."""
         i, digits = piece
         field, G = self.field, self.G
         K = len(G)
@@ -442,7 +425,7 @@ class _ClassScan:
         free = K - 1 - i - len(digits)
         d = min(free, self.depth)
         block = self.block[..., : field.q**d]
-        return self.walk(field, block, G[K - free : K - d], offset, self.target_w, stop_at)
+        return self.walk(field, block, G[K - free : K - d], offset, self.target_w)
 
 
 def _pieces(q: int, K: int, workers: int) -> list[tuple[int, tuple[int, ...]]]:
@@ -565,9 +548,9 @@ def _scan(C: LinearCode, target_w, budget: int, workers: int = 1, stop_at=None):
     `_pieces` in the shares of `_shares`, one share in this process and
     each other in a forked child; where os.fork does not exist, or each
     worker would score fewer than _MIN_WORKER_STEPS classes, the scan
-    runs on one worker. `stop_at` (one worker only) ends the scan at the
-    first block of words that holds a word of weight below it; a scan it
-    does not cut short must count all q^K messages.
+    runs on one worker. `stop_at` ends the scan after the first walk, in
+    the order the parts are summed, that counts a word of nonzero weight
+    below it; a scan it does not cut short must count all q^K messages.
 
     Raises:
         OutOfRange: if workers < 1 or target_w is not in 1..N.
@@ -585,7 +568,7 @@ def _scan(C: LinearCode, target_w, budget: int, workers: int = 1, stop_at=None):
         raise OutOfRange(f"weight must be in 1..{C.N}; got {target_w}")
     counts = np.zeros(C.N + 1, dtype=np.int64)
     sup = set() if target_w is not None else None
-    aborted = False
+    stopped = False
     if K:
         scan = _ClassScan(C.field, C.G.a, target_w)
         if (total - 1) // (q - 1) < workers * _MIN_WORKER_STEPS or not hasattr(os, "fork"):
@@ -593,16 +576,17 @@ def _scan(C: LinearCode, target_w, budget: int, workers: int = 1, stop_at=None):
         if workers > 1:
             parts = _run_shares(scan, _shares(q, K, workers))
         else:
-            parts = (scan.run((i, ()), stop_at) for i in range(K))
-        for c, s, aborted in parts:
+            parts = (scan.run((i, ())) for i in range(K))
+        for c, s in parts:
             counts += c
             if sup is not None:
                 sup |= s
-            if aborted:
+            if stop_at is not None and counts[1 : max(stop_at, 1)].any():
+                stopped = True
                 break
     counts[1:] *= q - 1
     counts[0] = 1
-    if not aborted and int(counts.sum()) != total:
+    if not stopped and int(counts.sum()) != total:
         raise InternalInconsistency(f"enumerated {int(counts.sum())} of {total} messages")
     return counts, sup
 
@@ -640,9 +624,10 @@ def min_distance(
     """Minimum nonzero weight by exhaustive scan of one word per scalar class.
 
     With `stop_at` set to a claimed lower bound on the distance, the scan
-    aborts as soon as any codeword of weight strictly below the bound
-    appears and returns that witness weight; otherwise the scan completes
-    and the result is the exact minimum.
+    stops after the first walk that counts a nonzero word of weight
+    strictly below the bound and returns the least weight counted, a
+    witness below the bound; otherwise the scan completes and the result
+    is the exact minimum.
 
     Raises:
         BudgetExceeded: if q^K > budget.

@@ -309,10 +309,7 @@ def cmd_dual_check(args) -> int:
 # wenum
 
 
-def _reference_check(key: tuple[int, int, int], dist) -> tuple[bool, str]:
-    ref = REFERENCE_WEIGHT_DISTRIBUTIONS.get(key)
-    if ref is None:
-        raise UsageError(f"no embedded reference distribution for (n,k,q)={key}")
+def _reference_check(ref: dict[int, int], dist) -> tuple[bool, str]:
     got = {w: c for w, c in dist.to_pairs()}
     if got == ref:
         return True, f"reference check: PASS ({len(ref)} coefficients match)"
@@ -340,8 +337,13 @@ def cmd_wenum(args) -> int:
     else:
         if args.n is None or args.k is None or args.q is None:
             raise UsageError("wenum needs --n, --k and --q (or --read-matrix FILE)")
-        C = prm_code(field_make(args.q), args.n, args.k)
         key = (args.n, args.k, args.q)
+        # looked up before the code is built, so a missing reference
+        # fails before the scan
+        ref = REFERENCE_WEIGHT_DISTRIBUTIONS.get(key)
+        if args.check_paper and ref is None:
+            raise UsageError(f"no embedded reference distribution for (n,k,q)={key}")
+        C = prm_code(field_make(args.q), args.n, args.k)
 
     t0 = time.monotonic()
     dist = weight_distribution(C, budget=args.budget, workers=args.workers)
@@ -352,7 +354,7 @@ def cmd_wenum(args) -> int:
 
     check = None
     if args.check_paper:
-        ok, message = _reference_check(key, dist)
+        ok, message = _reference_check(ref, dist)
         check = "pass" if ok else "fail"
 
     if args.json:

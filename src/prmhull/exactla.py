@@ -86,9 +86,6 @@ class MatrixFq:
             and np.array_equal(self.a, other.a)
         )
 
-    def __hash__(self):
-        return hash((self.field.q, self.a.shape, self.a.tobytes()))
-
     def __repr__(self) -> str:
         return f"MatrixFq(GF({self.field.q}), {self.rows}x{self.cols})"
 
@@ -228,9 +225,6 @@ class SubspaceBasis:
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, SubspaceBasis) and self.matrix == other.matrix
-
-    def __hash__(self):
-        return hash(self.matrix)
 
     def __repr__(self) -> str:
         return f"SubspaceBasis(GF({self.matrix.field.q}), dim {self.dim}, ambient {self.ambient})"

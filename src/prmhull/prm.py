@@ -64,11 +64,6 @@ class PrmParams:
             raise OutOfRange(f"need n >= 1, k >= 0, q >= 2; got {self}")
 
     @property
-    def ell(self) -> int:
-        """Degree of the dual-side code, n(q-1) - k."""
-        return self.n * (self.q - 1) - self.k
-
-    @property
     def N(self) -> int:
         return num_projective_points(self.q, self.n)
 
@@ -342,10 +337,13 @@ def described_dual_code(field: Field, n: int, k: int) -> LinearCode:
 
 
 def _described_dual(base: PrmCode, adjoin: bool) -> LinearCode:
-    """base, or span(1, base) if the all-ones row is adjoined to a positive degree."""
+    """base, or span(1, base) if the all-ones row is adjoined to a positive
+    degree: the sum of base's canonical basis and the all-ones row, which
+    is its own canonical basis, with pivot 0."""
     if not adjoin or base.k == 0:
         return base
-    return adjoin_ones(base, label=f"span(1, {base.label})")
+    ones = SubspaceBasis(MatrixFq(base.field, np.ones((1, base.N), dtype=np.int32)), (0,))
+    return LinearCode.from_basis(ones + base.canonical(), label=f"span(1, {base.label})")
 
 
 def verify_dual(C: PrmCode, base: PrmCode) -> tuple[bool, bool | None]:
@@ -373,15 +371,6 @@ def verify_dual(C: PrmCode, base: PrmCode) -> tuple[bool, bool | None]:
     # span(1, base) is one dimension larger exactly when 1 is outside base
     ones_outside = described.K > base.K if described is not base else None
     return verified, ones_outside
-
-
-def adjoin_ones(C: LinearCode, label: str = "") -> LinearCode:
-    """span(1, C), as the sum of C's canonical basis and the all-ones row.
-
-    The all-ones row is its own canonical basis, with pivot 0.
-    """
-    ones = SubspaceBasis(MatrixFq(C.field, np.ones((1, C.N), dtype=np.int32)), (0,))
-    return LinearCode.from_basis(ones + C.canonical(), label=label)
 
 
 @dataclass

@@ -117,30 +117,34 @@ def run_sweep(spec: SweepSpec, log=None) -> tuple[list[dict], dict]:
     if any(n < 1 for n in spec.n_list):
         raise UsageError("sweep needs every n >= 1")
     # A repeated n or q would repeat its rows; the first occurrence keeps
-    # its place, since the q order sets the row order.
-    fields = [field_make(q) for q in dict.fromkeys(spec.q_list)]
-    rows: list[dict] = []
-    for field in fields:
-        q = field.q
+    # its place, since the q order sets the row order. Every slice is
+    # resolved before the first point, so a bad q or an empty grid fails
+    # before any work or progress line.
+    slices = []
+    for q in dict.fromkeys(spec.q_list):
+        field = field_make(q)
         for n in dict.fromkeys(spec.n_list):
-            t0 = time.monotonic()
             t = n * (q - 1)
             if spec.k_policy == "all":
                 ks = list(range(1, t + 1))
             else:
                 ks = sorted(k for k in set(spec.k_policy) if 1 <= k <= t)
-            # Point k also needs the code of degree n(q-1) - k, so the
-            # codes of one (q, n) slice are built once and shared.
-            get_code = functools.cache(functools.partial(prm_code, field, n))
-            rows.extend(_sweep_row(field, n, k, get_code, spec.distance_budget) for k in ks)
-            if log is not None:
-                print(
-                    f"sweep q={q} n={n}: {len(ks)} points "
-                    f"in {time.monotonic() - t0:.1f}s",
-                    file=log,
-                )
-    if not rows:
+            slices.append((field, n, ks))
+    if not any(ks for _, _, ks in slices):
         raise UsageError("sweep grid is empty (no valid (n, k, q) points)")
+    rows: list[dict] = []
+    for field, n, ks in slices:
+        t0 = time.monotonic()
+        # Point k also needs the code of degree n(q-1) - k, so the
+        # codes of one (q, n) slice are built once and shared.
+        get_code = functools.cache(functools.partial(prm_code, field, n))
+        rows.extend(_sweep_row(field, n, k, get_code, spec.distance_budget) for k in ks)
+        if log is not None:
+            print(
+                f"sweep q={field.q} n={n}: {len(ks)} points "
+                f"in {time.monotonic() - t0:.1f}s",
+                file=log,
+            )
     agree = sum(r["agree"] for r in rows)
     summary = {
         "points": len(rows),

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import prmhull.analyze as analyze
-from oracles import ref_supports, ref_weight_distribution
+from oracles import ref_supports, ref_weight_distribution, ref_words
 from prmhull import field_make
 from prmhull.analyze import (
     NOT_A_DESIGN,
@@ -69,26 +69,6 @@ def test_weight_tally_matches_bincount(N, width):
         expected += np.bincount(w, minlength=N + 1)
     got = tally.counts()
     assert got.dtype == np.int64 and got.tolist() == expected.tolist()
-
-
-@pytest.mark.parametrize("width", [1, 3])
-@pytest.mark.parametrize("N", [1, 40, 255, 256])
-def test_weight_tally_stops_only_below_the_bound(N, width):
-    # The early stop fires exactly when some weight w has 0 < w < stop_at;
-    # weight 0 never fires it, whatever the bound.
-    n = tally_widths(N)[width]
-    rng = np.random.default_rng(N + n)
-    tally = analyze._WeightTally(N, n)
-    cases = [np.zeros(n, dtype=int), np.full(n, N)]
-    for _ in range(20):
-        w = np.full(n, N)
-        w[rng.choice(n, size=3, replace=False)] = rng.integers(0, N + 1, size=3)
-        cases.append(w)
-    for w in cases:
-        tally.weights[:] = w
-        for stop_at in [0, 1, 2, N, N + 1, N + 2, 300, 70000]:
-            expected = bool(((w > 0) & (w < stop_at)).any())
-            assert tally.any_below(stop_at) == expected, (w.tolist(), stop_at)
 
 
 # ---------------------------------------------------------------------------
@@ -279,9 +259,9 @@ def test_scan_visits_one_word_per_scalar_class(q, n, k, monkeypatch):
         walk = getattr(analyze, name)
 
         def spy(*args, _walk=walk):
-            counts, sup, aborted = _walk(*args)
+            counts, sup = _walk(*args)
             visited.append(int(counts.sum()))
-            return counts, sup, aborted
+            return counts, sup
 
         monkeypatch.setattr(analyze, name, spy)
     C = prm_code(field_make(q), n, k)
@@ -352,11 +332,11 @@ def test_lost_messages_raise(monkeypatch):
     # loses one of the tetracode's 4 scalar classes.
     real_run = analyze._ClassScan.run
 
-    def run(self, piece, stop_at=None):
-        counts, sup, aborted = real_run(self, piece, stop_at)
+    def run(self, piece):
+        counts, sup = real_run(self, piece)
         if piece == (len(self.G) - 1, ()):
-            return np.zeros_like(counts), None if sup is None else set(), aborted
-        return counts, sup, aborted
+            return np.zeros_like(counts), None if sup is None else set()
+        return counts, sup
 
     with monkeypatch.context() as m:
         m.setattr(analyze._ClassScan, "run", run)
@@ -389,9 +369,9 @@ def test_serial_scan_walks_each_stratum_whole(q, n, k, monkeypatch):
     runs, cuts = [], []
     real_run, real_pieces = analyze._ClassScan.run, analyze._pieces
 
-    def run(self, piece, stop_at=None):
+    def run(self, piece):
         runs.append(piece)
-        return real_run(self, piece, stop_at)
+        return real_run(self, piece)
 
     def pieces(*args):
         cuts.append(args)
@@ -423,10 +403,10 @@ def in_child_only(monkeypatch, act):
     before in the scanning process."""
     parent, real_run = os.getpid(), analyze._ClassScan.run
 
-    def run(self, piece, stop_at=None):
+    def run(self, piece):
         if os.getpid() != parent:
             act()
-        return real_run(self, piece, stop_at)
+        return real_run(self, piece)
 
     monkeypatch.setattr(analyze, "_MIN_WORKER_STEPS", 1)
     monkeypatch.setattr(analyze._ClassScan, "run", run)
@@ -459,7 +439,7 @@ def test_parent_share_raising_kills_every_child(error, monkeypatch):
     # must kill and reap them as soon as its own share raises.
     parent = os.getpid()
 
-    def run(self, piece, stop_at=None):
+    def run(self, piece):
         if os.getpid() == parent:
             raise error("raised in the scanning process")
         time.sleep(20)
@@ -486,10 +466,10 @@ import prmhull.analyze as analyze
 analyze._MIN_WORKER_STEPS = 1
 me, seen, real_run = os.getpid(), [], analyze._ClassScan.run
 
-def run(self, piece, stop_at=None):
+def run(self, piece):
     if os.getpid() == me:
         seen.append(piece)
-    return real_run(self, piece, stop_at)
+    return real_run(self, piece)
 
 analyze._ClassScan.run = run
 C = prmhull.prm_code(prmhull.field_make(3), 2, 2)
@@ -513,9 +493,9 @@ def test_scan_without_fork_walks_on_one_worker(monkeypatch):
     # each stratum whole in the scanning process, as a demoted scan does.
     runs, real_run = [], analyze._ClassScan.run
 
-    def run(self, piece, stop_at=None):
+    def run(self, piece):
         runs.append(piece)
-        return real_run(self, piece, stop_at)
+        return real_run(self, piece)
 
     monkeypatch.setattr(analyze, "_MIN_WORKER_STEPS", 1)
     monkeypatch.setattr(analyze._ClassScan, "run", run)
@@ -657,6 +637,84 @@ def test_min_distance_stop_at():
     assert min_distance(C, stop_at=4) == 3
 
 
+# Codes for the bound test: packed and generic, prime and extension
+# fields, and weights past one byte (N > 255) at q = 2 and 3. In the two
+# "heavy-first" codes stratum 0 weighs at least 4 and stratum 1 holds the
+# weight-1 word, so a bound of 2..4 stops the scan after two walks, and
+# one of 5 or more after the first, at weight 4 > d.
+BOUND_CODES = {
+    "packed-tetracode": tetracode,
+    "packed-heavy-first": lambda: make_code(
+        3, [[1, 1, 1, 1, 0, 0, 0], [0, 0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 0, 1, 2]]
+    ),
+    "generic-q2-heavy-first": lambda: make_code(
+        2, [[1, 1, 1, 1, 0, 0, 0], [0, 0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 0, 1, 1]]
+    ),
+    "packed-prm-2-2": lambda: prm_code(field_make(3), 2, 2),
+    "packed-300": lambda: code_from_rows(
+        field_make(3), np.random.default_rng(3).integers(0, 3, size=(5, 300))
+    ),
+    "generic-q2-prm-4-2": lambda: prm_code(field_make(2), 4, 2),
+    "generic-q2-260": lambda: code_from_rows(
+        field_make(2), np.random.default_rng(2).integers(0, 2, size=(8, 260))
+    ),
+    "generic-q4-prm-1-3": lambda: prm_code(field_make(4), 1, 3),
+    "generic-q5-prm-2-2": lambda: prm_code(field_make(5), 2, 2),
+    "generic-q9-prm-1-4": lambda: prm_code(field_make(9), 1, 4),
+}
+
+
+def ref_least_weight_counted(weights, msgs, pieces, bound):
+    """(least weight, walks run) of a scan over `pieces` in order that
+    stops after the first piece holding a word of weight 0 < w < bound.
+
+    weights[j] is the weight of message msgs[j]; piece (i, digits) holds
+    the messages whose first nonzero symbol is a 1 at position i,
+    followed by `digits`."""
+    least = weights.max()
+    for ran, (i, digits) in enumerate(pieces, 1):
+        head = (0,) * i + (1,) + digits
+        least = min(least, weights[(msgs[:, : len(head)] == head).all(axis=1)].min())
+        if 0 < least < bound:
+            return least, ran
+    return least, len(pieces)
+
+
+@pytest.mark.parametrize("name", sorted(BOUND_CODES))
+def test_min_distance_stops_only_below_the_bound(name, monkeypatch):
+    # A bound at or below d never stops a scan, and a bound <= 1 (negative
+    # included) stops none; a bound above d stops the scan after the first
+    # walk, in the order the walks are summed, that counts a nonzero
+    # weight below it, and one above N stops at any nonzero weight. The
+    # result is the least weight counted by the walks that ran. The scan
+    # on two workers applies the same rule to the parts of its shares.
+    C = BOUND_CODES[name]()
+    N, K, q = C.N, C.K, C.field.q
+    msgs = np.array(list(itertools.product(range(q), repeat=K)))
+    weights = np.count_nonzero(ref_words(C.field, C.G.a), axis=1)
+    d = weights[weights > 0].min()
+    runs, real_run = [], analyze._ClassScan.run
+
+    def run(self, piece):
+        runs.append(piece)
+        return real_run(self, piece)
+
+    monkeypatch.setattr(analyze._ClassScan, "run", run)
+    strata = [(i, ()) for i in range(K)]
+    shares = analyze._shares(q, K, 2)
+    for bound in [-3, 0, 1, 2, d, d + 1, N, N + 1, N + 2, 300, 70000]:
+        least, ran = ref_least_weight_counted(weights, msgs, strata, bound)
+        assert least == d if bound <= d else least < bound
+        runs.clear()
+        assert min_distance(C, stop_at=bound) == least, bound
+        assert runs == strata[:ran], bound
+        least, _ = ref_least_weight_counted(weights, msgs, shares[0] + shares[1], bound)
+        with monkeypatch.context() as m:
+            m.setattr(analyze, "_MIN_WORKER_STEPS", 1)
+            counts, _ = analyze._scan(C, None, q**K, workers=2, stop_at=bound)
+        assert int(np.flatnonzero(counts[1:])[0]) + 1 == least, bound
+
+
 @pytest.mark.parametrize(
     "q,K,column",
     [(2, 13, 1), (2, 13, 4095), (3, 9, 1), (3, 9, 6560), (5, 6, 3), (5, 6, 3124)],
@@ -670,7 +728,8 @@ def test_stop_at_sees_every_column_of_a_pair(q, K, column, monkeypatch):
     # significant, and G[0] is chosen so that the given column holds e_0,
     # the code's only word of weight 1 up to scalars. An odd column is the
     # second weight of a pair, and the last column of an odd-width block
-    # is paired with the padding. The scan must stop in stratum 0.
+    # is paired with the padding. The scan reads the folded pair counts,
+    # so it must stop after stratum 0.
     f, N = field_make(q), 20
     assert q ** (K - 1) >= 128 * (N + 1)
     rest = np.random.default_rng(q).integers(0, q, size=(K - 1, N))
@@ -683,14 +742,13 @@ def test_stop_at_sees_every_column_of_a_pair(q, K, column, monkeypatch):
     runs = []
     real_run = analyze._ClassScan.run
 
-    def run(self, piece, stop_at=None):
-        result = real_run(self, piece, stop_at)
-        runs.append((piece, result[2]))
-        return result
+    def run(self, piece):
+        runs.append(piece)
+        return real_run(self, piece)
 
     monkeypatch.setattr(analyze._ClassScan, "run", run)
     assert min_distance(C, stop_at=2) == 1
-    assert runs == [((0, ()), True)]
+    assert runs == [(0, ())]
     assert weight_distribution(C).counts.tolist() == expected
 
 
@@ -698,7 +756,8 @@ def test_stop_at_sees_every_column_of_a_pair(q, K, column, monkeypatch):
 def test_weight_zero_word_never_stops_a_walk(q):
     # A block fed by hand: column 0 is -offset, so its word is 0, and
     # column 1 makes a word of full weight N. With no outer rows the walk
-    # scores that one block; only the full-weight word can stop it.
+    # scores that one block. The zero word is counted at weight 0, which
+    # the scan's stop rule never reads.
     f = field_make(q)
     offset = np.array([1, 2, 0, 1, 1, 0, 2])
     N = len(offset)
@@ -710,10 +769,9 @@ def test_weight_zero_word_never_stops_a_walk(q):
         walk = analyze._walk_generic
         block = np.array(columns, dtype=np.uint8).T
     outer = np.zeros((0, N), dtype=offset.dtype)
-    for n, stop_at, aborted in [(1, N + 1, False), (2, N, False), (2, N + 1, True)]:
-        counts, _, stopped = walk(f, block[..., :n], outer, offset, None, stop_at)
-        assert stopped == aborted, (n, stop_at)
-        assert counts.tolist() == [1] + [0] * (N - 1) + [n - 1]
+    for n in (1, 2):
+        counts, _ = walk(f, block[..., :n], outer, offset, None)
+        assert counts.tolist() == [1] + [0] * (N - 1) + [n - 1], n
 
 
 def test_min_distance_zero_code():

@@ -452,6 +452,18 @@ def test_reference_check_fail_demo(capsys, monkeypatch):
     assert "reference check: FAIL at weight 3: expected 7, got 8" in out
 
 
+def test_check_paper_without_a_reference_fails_before_the_scan(capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("scanned")
+
+    monkeypatch.setattr(cli, "weight_distribution", never)
+    code, out, err = run(
+        ["wenum", "--n", "3", "--k", "2", "--q", "5", "--check-paper"], capsys
+    )
+    assert code == EXIT_USAGE and out == ""
+    assert err == "error: no embedded reference distribution for (n,k,q)=(3, 2, 5)\n"
+
+
 def _reference_distribution():
     ref = cli.REFERENCE_WEIGHT_DISTRIBUTIONS[(3, 3, 3)]
     return analyze.WeightDistribution([ref.get(w, 0) for w in range(41)])
@@ -854,6 +866,24 @@ def test_sweep_unsatisfiable_grid_usage_error(capsys):
     code, _, err = run(["sweep", "--n", "1", "--q", "3", "--k", "99"], capsys)
     assert code == EXIT_USAGE
     assert "empty" in err
+
+
+@pytest.mark.parametrize(
+    "args", [["--n", "1", "--q", "3", "--k", "0"], ["--k", "0"], ["--n", "1,2", "--k", "99"]]
+)
+def test_sweep_empty_grid_fails_before_any_progress_line(capsys, args):
+    # Every slice's degrees are resolved first; with the default --n and
+    # --q lists, an empty grid once logged 21 "0 points" lines first.
+    code, out, err = run(["sweep", *args], capsys)
+    assert code == EXIT_USAGE and out == ""
+    assert err == "error: sweep grid is empty (no valid (n, k, q) points)\n"
+
+
+def test_sweep_empty_slice_keeps_its_progress_line(capsys):
+    code, _, err = run(["sweep", "--n", "1,2", "--q", "3", "--k", "3"], capsys)
+    assert code == EXIT_OK
+    lines = [line.split(" in ")[0] for line in err.splitlines()]
+    assert lines == ["sweep q=3 n=1: 0 points", "sweep q=3 n=2: 1 points"]
 
 
 def test_sweep_disagreement_exits_2(capsys, monkeypatch):

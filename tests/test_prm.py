@@ -627,7 +627,6 @@ def test_sweep_agrees_on_the_line_beyond_the_grid():
 
 def test_params_helper():
     p = PrmParams(2, 3, 4)
-    assert p.ell == 3
     assert p.N == 21
     assert p.regime() == "proper"
     assert PrmParams(2, 0, 4).regime() == "span-one"
