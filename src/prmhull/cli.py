@@ -25,6 +25,7 @@ import csv
 import json
 import math
 import os
+import shutil
 import sys
 import time
 import traceback
@@ -490,34 +491,56 @@ def cmd_sweep(args) -> int:
         k_policy=k_policy,
         distance_budget=args.distances,
     )
-    # opened before the first point, so a bad --out path fails at once
-    handle = None
-    if args.out:
-        try:
-            handle = open(args.out, "w", newline="")
-        except OSError as exc:
-            raise UsageError(f"cannot write --out file: {exc}") from exc
-    with handle or contextlib.nullcontext():
+    with _out_file(args.out) if args.out else contextlib.nullcontext() as handle:
         rows, summary = run_sweep(spec, log=sys.stderr)
-        summary_line = (
-            f"sweep summary: points={summary['points']} agree={summary['agree']} "
-            f"disagree={summary['disagree']} no-closed-form={summary['no_closed_form']}"
-        )
         if args.json:
             text = json.dumps({"rows": rows, "summary": summary}, indent=2)
             print(text, file=handle or sys.stdout)
-            if handle:
-                print(summary_line)
         elif args.csv:
             writer = csv.DictWriter(handle or sys.stdout, fieldnames=_CSV_COLUMNS)
             writer.writeheader()
             writer.writerows(_flatten_row(r) for r in rows)
-            print(summary_line, file=sys.stdout if handle else sys.stderr)
         else:
             for row in rows:
                 print(_sweep_table_line(row))
-            print(summary_line)
+    summary_line = (
+        f"sweep summary: points={summary['points']} agree={summary['agree']} "
+        f"disagree={summary['disagree']} no-closed-form={summary['no_closed_form']}"
+    )
+    # --json on stdout is the rows alone; CSV rows on stdout send it to stderr
+    if handle or not args.json:
+        print(summary_line, file=sys.stderr if args.csv and not handle else sys.stdout)
     return EXIT_OK if summary["disagree"] == 0 else EXIT_DISAGREE
+
+
+@contextlib.contextmanager
+def _out_file(path: str):
+    """A new file beside path, moved onto it only when the block ends
+    without an error, so a failed sweep leaves path as it was, or absent.
+
+    Entered before the first point, so a path that cannot be written (a
+    missing directory, a directory, a read-only file) fails at once. An
+    existing file is opened for appending only to test that, and the new
+    file takes its permissions.
+    """
+    target = os.path.realpath(path)  # a link's file is replaced, not the link
+    tmp = os.path.join(os.path.dirname(target), f".{os.path.basename(target)}.{os.getpid()}.tmp")
+    exists = os.path.exists(target)
+    try:
+        if exists:
+            open(target, "a").close()
+        handle = open(tmp, "x", newline="")
+    except OSError as exc:
+        raise UsageError(f"cannot write --out file: {exc}") from exc
+    try:
+        with handle:
+            yield handle
+        if exists:
+            shutil.copymode(target, tmp)
+        os.replace(tmp, target)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,9 @@ from (p, e, inner) alone picks g, b and the inner chunk that keep it so.
 Over odd p the lanes are cut out with int64 shifts and masks, the x^d
 terms (d >= e) folded in, and each output digit reduced once; over
 characteristic 2 a digit is the parity of the lanes it folds, one
-`bitwise_count` under a mask.
+`bitwise_count` under a mask. OpenBLAS runs each product on the calling
+thread: its pool gains these integer sums almost no wall time and spins
+a second CPU through them.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ import functools
 
 import numpy as np
 
+from ._blas import one_thread
 from .errors import DimensionMismatch, FieldMismatch
 from .field import Field, field_make
 
@@ -467,6 +470,41 @@ def _product_plan(p: int, e: int, inner: int) -> tuple[int, int, int]:
     return best[1:]
 
 
+@functools.lru_cache(maxsize=None)
+def _packing(field: Field, g: int, b: int) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """(pack, x_powers, masks): the fixed tables of a product over field
+    that packs g digits into lanes of b bits.
+
+    pack[x, i] is packed plane i of element x, h = ceil(e/g) planes.
+    x_powers[d, t] is digit t of x^d modulo the field modulus, d < 2e - 1;
+    x is index p. Over characteristic 2, masks[D] lists (t, the low bits of
+    the lanes of packed digit D whose x^d has digit t); otherwise it is
+    empty. Built on first use and cached per (field, g, b) as read-only
+    arrays, like _product_tables.
+    """
+    p, e = field.p, field.e
+    h = -(-e // g)
+    weights = np.zeros((e, h))
+    for s in range(e):
+        weights[s, s // g] = 2.0 ** (b * (s % g))
+    pack = field.digits(np.arange(field.q)) @ weights
+    x_powers = np.eye(2 * e - 1, e, dtype=np.int64)
+    for d in range(e, 2 * e - 1):
+        x_powers[d] = field.digits(field.pow(p, d))
+    masks = []
+    if p == 2:
+        for D in range(2 * h - 1):
+            bits = [0] * e
+            for lane in range(2 * g - 1):
+                if D * g + lane < 2 * e - 1:
+                    for t in np.flatnonzero(x_powers[D * g + lane]):
+                        bits[t] |= 1 << (b * lane)
+            masks.append(tuple((t, m) for t, m in enumerate(bits) if m))
+    pack.flags.writeable = x_powers.flags.writeable = False
+    return pack, x_powers, tuple(masks)
+
+
+@one_thread
 def _mat_mul_arrays(field: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Exact product over F_q via float64 BLAS on packed digits.
 
@@ -495,7 +533,9 @@ def _mat_mul_arrays(field: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     parity of the low bits of the lanes whose x^d has digit t, one
     `bitwise_count` of the product under a mask, and chunks and packed
     digits combine by XOR. B is taken in blocks of _PRODUCT_COLUMNS
-    columns; A's planes are formed once.
+    columns; A's planes are formed once. The packed planes of every
+    element, the digits of each x^d and the lane masks come from
+    _packing. OpenBLAS runs the whole product on the calling thread.
     """
     p, e = field.p, field.e
     inner = A.shape[1]
@@ -507,25 +547,9 @@ def _mat_mul_arrays(field: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     h = -(-e // g)
     lanes = 2 * g - 1
     lane_mask = (1 << b) - 1
-    # pack[x, i]: plane i of element x; B's planes run in reverse order
-    weights = np.zeros((e, h))
-    for s in range(e):
-        weights[s, s // g] = 2.0 ** (b * (s % g))
-    pack = field.digits(np.arange(field.q)) @ weights
+    # B reads pack's planes in reverse order
+    pack, x_powers, masks = _packing(field, g, b)
     a = np.ascontiguousarray(pack.take(A, axis=0).transpose(0, 2, 1))  # rows x h x inner
-    # x_powers[d][t]: digit t of x^d modulo the field modulus; x is index p
-    x_powers = [*np.eye(e, dtype=int), *(field.digits(field.pow(p, d)) for d in range(e, 2 * e - 1))]
-    if p == 2:
-        # masks[D]: (t, the low bits of the lanes of packed digit D whose
-        # x^d has digit t)
-        masks = []
-        for D in range(2 * h - 1):
-            bits = [0] * e
-            for lane in range(lanes):
-                if D * g + lane < 2 * e - 1:
-                    for t in np.flatnonzero(x_powers[D * g + lane]):
-                        bits[t] |= 1 << (b * lane)
-            masks.append([(t, m) for t, m in enumerate(bits) if m])
 
     def block(cols: np.ndarray) -> np.ndarray:
         """The product of A with the columns cols of B, formed and freed per block."""

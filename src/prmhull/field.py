@@ -27,6 +27,7 @@ import itertools
 
 import numpy as np
 
+from ._blas import one_thread
 from .errors import DivisionByZero, InternalInconsistency, NotPrimePower
 
 MAX_Q = 1 << 16
@@ -302,11 +303,12 @@ class Field:
         # Each exponent is at most q - 1 and each log below it, so every
         # sum of the exponent product is below m(q-1)^2: exact in float64
         # BLAS below 2^53, and held in int32, whose modulo is faster, when
-        # below 2^31.
+        # below 2^31. The product runs on the calling thread (see _blas).
         bound = x.shape[1] * q1 * q1
         if bound >= 1 << 53:
             raise ValueError(f"{x.shape[1]} coordinates are too many for exact exponents")
-        t = exps.astype(np.float64) @ np.where(zero, 0, logs).T.astype(np.float64)
+        with one_thread:
+            t = exps.astype(np.float64) @ np.where(zero, 0, logs).T.astype(np.float64)
         t = t.astype(np.int32 if bound < 1 << 31 else np.int64)
         t %= q1
         t[pos @ zero.T] = self._log[0]

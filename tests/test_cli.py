@@ -907,6 +907,55 @@ def test_sweep_unwritable_out_fails_before_the_sweep(capsys, monkeypatch, tmp_pa
         assert err.startswith("error: cannot write --out file") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("fmt", ["--json", "--csv"])
+@pytest.mark.parametrize("bad", [["--q", "3", "--k", "0"], ["--q", "6"], ["--q", "2,3"]])
+def test_failed_sweep_leaves_the_out_file_as_it_was(capsys, monkeypatch, tmp_path, fmt, bad):
+    # the empty grid, a field that does not exist, and any error of the sweep itself
+    if bad[1] == "2,3":
+        monkeypatch.setattr(sweep, "dim_mr", lambda n, k, q: 1 / 0 if q == 3 else 1)
+    keep, new = tmp_path / "keep.out", tmp_path / "new.out"
+    keep.write_bytes(b"rows of an earlier sweep\n")
+    for out in (keep, new):
+        code, stdout, _ = run(["sweep", "--n", "1", *bad, fmt, "--out", str(out)], capsys)
+        assert code in (EXIT_USAGE, EXIT_INTERNAL) and stdout == ""
+    assert keep.read_bytes() == b"rows of an earlier sweep\n"
+    assert os.listdir(tmp_path) == ["keep.out"]
+
+
+@pytest.mark.parametrize("fmt", ["--json", "--csv"])
+def test_finished_sweep_replaces_the_out_file(capsys, tmp_path, fmt):
+    path = tmp_path / "rows.out"
+    path.write_bytes(b"rows of an earlier sweep\n")
+    path.chmod(0o640)
+    code, out, _ = run(["sweep", "--n", "1", "--q", "2,3", fmt, "--out", str(path)], capsys)
+    assert code == EXIT_OK
+    assert out == "sweep summary: points=3 agree=3 disagree=0 no-closed-form=0\n"
+    assert os.listdir(tmp_path) == ["rows.out"] and path.stat().st_mode & 0o777 == 0o640
+    code, expected, _ = run(["sweep", "--n", "1", "--q", "2,3", fmt], capsys)
+    assert path.read_bytes() == expected.encode()
+
+
+def test_out_file_through_a_link_replaces_the_linked_file(capsys, tmp_path):
+    real, link = tmp_path / "real.json", tmp_path / "link.json"
+    real.write_bytes(b"rows of an earlier sweep\n")
+    link.symlink_to(real.name)
+    code, _, _ = run(["sweep", "--n", "1", "--q", "2", "--json", "--out", str(link)], capsys)
+    assert code == EXIT_OK and link.is_symlink()
+    assert json.loads(real.read_text())["summary"]["points"] == 1
+
+
+def test_out_file_that_is_read_only_fails_before_the_sweep(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(cli, "run_sweep", lambda *a, **k: pytest.fail("the sweep ran"))
+    path = tmp_path / "rows.out"
+    path.write_bytes(b"kept\n")
+    path.chmod(0o444)
+    if os.access(path, os.W_OK):
+        pytest.skip("this user may write a read-only file")
+    code, _, err = run(["sweep", "--n", "1", "--q", "3", "--json", "--out", str(path)], capsys)
+    assert code == EXIT_USAGE and err.startswith("error: cannot write --out file")
+    assert path.read_bytes() == b"kept\n" and os.listdir(tmp_path) == ["rows.out"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
