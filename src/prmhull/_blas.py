@@ -1,13 +1,15 @@
 """Run prmhull's float64 BLAS products on the calling thread only.
 
 The package's exact products (`exactla._mat_mul_arrays` and the exponent
-product of `Field.power_products`) are integer sums that OpenBLAS's
-thread pool speeds up by almost nothing, while a second pool thread spins
-a CPU through each call. `one_thread` sets OpenBLAS to one thread for the
+product of `Field.power_products`) are integer sums. OpenBLAS's thread
+pool speeds the larger ones up by a fifth or so, but after every threaded
+call its other threads spin for about 0.1 s, so a sweep keeps a second
+CPU busy from start to end. `one_thread` sets OpenBLAS to one thread for the
 length of a block and then restores the count it read. The entry points
-are looked up on first use, never at import: in a mapped library whose
-file name contains "openblas" (/proc/self/maps), then in numpy's bundled
-libraries. Where none is found (MKL, Accelerate, BLIS), it does nothing.
+are looked up on first use, never at import: in numpy's bundled
+libraries, or else in a mapped library whose file name contains
+"openblas" (/proc/self/maps). Where none is found (MKL, Accelerate,
+BLIS), it does nothing.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ import contextlib
 import ctypes
 import functools
 import os
-import threading
 
 import numpy as np
 
@@ -29,8 +30,16 @@ _ENTRY_NAMES = tuple(
 
 
 def _library_paths() -> list[str]:
-    """OpenBLAS libraries mapped into this process, then those numpy bundles."""
+    """The OpenBLAS libraries numpy bundles, or else those mapped into this
+    process (numpy's first: another package's OpenBLAS, such as scipy's,
+    may be mapped too, and setting its pool would leave numpy's running)."""
+    root = os.path.dirname(np.__file__)
     paths = []
+    for libs in (os.path.join(os.path.dirname(root), "numpy.libs"), os.path.join(root, ".dylibs")):
+        with contextlib.suppress(OSError):
+            paths += sorted(os.path.join(libs, n) for n in os.listdir(libs) if "openblas" in n)
+    if paths:
+        return paths
     try:
         with open("/proc/self/maps") as maps:
             for line in maps:
@@ -40,10 +49,6 @@ def _library_paths() -> list[str]:
                     paths.append(path)
     except OSError:
         pass
-    root = os.path.dirname(np.__file__)
-    for libs in (os.path.join(os.path.dirname(root), "numpy.libs"), os.path.join(root, ".dylibs")):
-        with contextlib.suppress(OSError):
-            paths += sorted(os.path.join(libs, n) for n in os.listdir(libs) if "openblas" in n)
     return list(dict.fromkeys(paths))
 
 
@@ -64,40 +69,23 @@ def _entry_points():
     return None
 
 
-class _OneThread(contextlib.ContextDecorator):
-    """Context manager and decorator: OpenBLAS runs one thread inside.
+@contextlib.contextmanager
+def one_thread():
+    """OpenBLAS runs one thread inside the block, then the count read before.
 
-    BLAS's thread count is one setting for the whole process, so a lock
-    guards a depth counter shared by every thread. The outermost entry
-    sets the count to 1 if it is above 1, and the outermost exit restores
-    the count read, on an exception too; nested and concurrent entries
-    change nothing.
+    Usable as a decorator too. A count already at 1 is left alone, so a
+    nested block sets nothing; a block that sets 1 restores the count it
+    read, on an exception too. BLAS's count is one setting for the whole
+    process, and each set to 1 is undone by its own block, so calls from
+    several threads also leave the count where it was.
     """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._depth = 0
-        self._restore = None  # (set, count) while a count above 1 is held
-
-    def __enter__(self):
-        with self._lock:
-            if self._depth == 0:
-                entry = _entry_points()
-                if entry is not None:
-                    get, set_ = entry
-                    count = get()
-                    if count > 1:
-                        set_(1)
-                        self._restore = (set_, count)
-            self._depth += 1
-
-    def __exit__(self, *exc):
-        with self._lock:
-            self._depth -= 1
-            if self._depth == 0 and self._restore is not None:
-                set_, count = self._restore
-                self._restore = None
-                set_(count)
-
-
-one_thread = _OneThread()
+    entry = _entry_points()
+    count = entry[0]() if entry else 1
+    if count <= 1:
+        yield
+        return
+    entry[1](1)
+    try:
+        yield
+    finally:
+        entry[1](count)

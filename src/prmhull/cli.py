@@ -22,10 +22,10 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import io
 import json
 import math
 import os
-import shutil
 import sys
 import time
 import traceback
@@ -515,32 +515,37 @@ def cmd_sweep(args) -> int:
 
 @contextlib.contextmanager
 def _out_file(path: str):
-    """A new file beside path, moved onto it only when the block ends
-    without an error, so a failed sweep leaves path as it was, or absent.
+    """The --out stream of a sweep: its text is held until the block ends
+    without an error and only then written to path, so a failed sweep
+    leaves an existing file as it was and makes no new one.
 
-    Entered before the first point, so a path that cannot be written (a
-    missing directory, a directory, a read-only file) fails at once. An
-    existing file is opened for appending only to test that, and the new
-    file takes its permissions.
+    path is opened on entry, before the first point, so one that cannot
+    be written (a missing directory, a directory, a read-only file) fails
+    at once. An existing regular file is opened without truncating and
+    cut to the new text only when it is written; anything else (a new
+    file, a device such as /dev/null, a pipe, a terminal) is opened for
+    writing, and a new file is removed again if the block fails. The
+    file itself is written, never replaced, so its links, permissions and
+    kind stay as they were.
     """
-    target = os.path.realpath(path)  # a link's file is replaced, not the link
-    tmp = os.path.join(os.path.dirname(target), f".{os.path.basename(target)}.{os.getpid()}.tmp")
-    exists = os.path.exists(target)
+    existed, update = os.path.exists(path), os.path.isfile(path)
     try:
-        if exists:
-            open(target, "a").close()
-        handle = open(tmp, "x", newline="")
+        handle = open(path, "r+" if update else "w", newline="")
     except OSError as exc:
         raise UsageError(f"cannot write --out file: {exc}") from exc
+    text = io.StringIO(newline="")
+    done = False
     try:
         with handle:
-            yield handle
-        if exists:
-            shutil.copymode(target, tmp)
-        os.replace(tmp, target)
+            yield text
+            handle.write(text.getvalue())
+            if update:
+                handle.truncate()
+        done = True
     finally:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
+        if not done and not existed:
+            with contextlib.suppress(OSError):
+                os.remove(os.path.realpath(path))
 
 
 # ---------------------------------------------------------------------------

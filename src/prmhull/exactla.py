@@ -504,7 +504,7 @@ def _packing(field: Field, g: int, b: int) -> tuple[np.ndarray, np.ndarray, tupl
     return pack, x_powers, tuple(masks)
 
 
-@one_thread
+@one_thread()
 def _mat_mul_arrays(field: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Exact product over F_q via float64 BLAS on packed digits.
 

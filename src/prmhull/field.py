@@ -307,7 +307,7 @@ class Field:
         bound = x.shape[1] * q1 * q1
         if bound >= 1 << 53:
             raise ValueError(f"{x.shape[1]} coordinates are too many for exact exponents")
-        with one_thread:
+        with one_thread():
             t = exps.astype(np.float64) @ np.where(zero, 0, logs).T.astype(np.float64)
         t = t.astype(np.int32 if bound < 1 << 31 else np.int64)
         t %= q1

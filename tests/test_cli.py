@@ -7,8 +7,10 @@ import csv
 import io
 import json
 import os
+import stat
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -925,7 +927,7 @@ def test_failed_sweep_leaves_the_out_file_as_it_was(capsys, monkeypatch, tmp_pat
 @pytest.mark.parametrize("fmt", ["--json", "--csv"])
 def test_finished_sweep_replaces_the_out_file(capsys, tmp_path, fmt):
     path = tmp_path / "rows.out"
-    path.write_bytes(b"rows of an earlier sweep\n")
+    path.write_bytes(b"rows of an earlier sweep\n" * 1000)  # longer than the new rows
     path.chmod(0o640)
     code, out, _ = run(["sweep", "--n", "1", "--q", "2,3", fmt, "--out", str(path)], capsys)
     assert code == EXIT_OK
@@ -942,6 +944,52 @@ def test_out_file_through_a_link_replaces_the_linked_file(capsys, tmp_path):
     code, _, _ = run(["sweep", "--n", "1", "--q", "2", "--json", "--out", str(link)], capsys)
     assert code == EXIT_OK and link.is_symlink()
     assert json.loads(real.read_text())["summary"]["points"] == 1
+
+
+def _no_replace(monkeypatch):
+    """Fail a test if the sweep moves a file onto its --out path."""
+    for name in ("replace", "rename"):
+        monkeypatch.setattr(os, name, lambda *a, **k: pytest.fail(f"os.{name} called"))
+
+
+def test_out_file_on_a_device_writes_it_and_leaves_it_a_device(capsys, monkeypatch):
+    _no_replace(monkeypatch)
+    code, out, _ = run(["sweep", "--n", "1", "--q", "2", "--json", "--out", os.devnull], capsys)
+    assert code == EXIT_OK and out.startswith("sweep summary: points=1 ")
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+@pytest.mark.parametrize("fails", [False, True])
+def test_out_file_on_a_pipe_is_written_through_it(capsys, monkeypatch, tmp_path, fails):
+    _no_replace(monkeypatch)
+    if fails:
+        monkeypatch.setattr(sweep, "dim_mr", lambda n, k, q: 1 / 0)
+    fifo = tmp_path / "rows.fifo"
+    os.mkfifo(fifo)
+    read = []
+    reader = threading.Thread(target=lambda: read.append(fifo.read_bytes()), daemon=True)
+    reader.start()  # the sweep's open waits for it
+    code, _, _ = run(["sweep", "--n", "1", "--q", "2", "--json", "--out", str(fifo)], capsys)
+    reader.join(60)
+    assert stat.S_ISFIFO(fifo.stat().st_mode) and os.listdir(tmp_path) == ["rows.fifo"]
+    if fails:
+        assert code == EXIT_INTERNAL and read == [b""]
+    else:
+        assert code == EXIT_OK and json.loads(read[0])["summary"]["points"] == 1
+
+
+def test_out_file_in_a_read_only_directory_is_written_in_place(capsys, tmp_path):
+    path = tmp_path / "rows.json"
+    path.write_bytes(b"rows of an earlier sweep\n" * 1000)
+    tmp_path.chmod(0o555)
+    try:
+        if os.access(tmp_path, os.W_OK):
+            pytest.skip("this user may write a read-only directory")
+        code, _, _ = run(["sweep", "--n", "1", "--q", "2", "--json", "--out", str(path)], capsys)
+        assert code == EXIT_OK and json.loads(path.read_text())["summary"]["points"] == 1
+    finally:
+        tmp_path.chmod(0o755)
 
 
 def test_out_file_that_is_read_only_fails_before_the_sweep(capsys, monkeypatch, tmp_path):
