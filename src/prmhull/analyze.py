@@ -20,13 +20,15 @@ block of codewords, and each step scores the whole block against the
 running offset cur. The support of block + cur is the set of coordinates
 where the block differs from -cur, so the walk carries -cur and scores a
 step by one comparison and a count, with no field addition over the
-block; the per-step buffers are allocated once per walk. The generic
-block is allocated once and written in place, a row's q multiples at a
-time, each by one add in the block's own type: XOR over characteristic
-2, a sum and a conditional subtraction of p over a prime field, and a
-lookup in the q x q addition table over an odd extension field. Codes
-over F_3 use a packed representation: two bitplanes per word, where
-negation swaps the planes, and population counts for the Hamming weight.
+block; the per-step buffers are allocated once per walk, and the block
+is as deep as the bytes of the block and those buffers together allow
+(_WALK_BYTES). The generic block is allocated once and written in place,
+a row's q multiples at a time, each by one add in the block's own type:
+XOR over characteristic 2, a sum and a conditional subtraction of p over
+a prime field, and a lookup in the q x q addition table over an odd
+extension field. Codes over F_3 use a packed representation: two
+bitplanes per word, where negation swaps the planes, and population
+counts for the Hamming weight; that block too is written in place.
 """
 
 from __future__ import annotations
@@ -45,10 +47,13 @@ from .errors import BudgetExceeded, InternalInconsistency, OutOfRange
 
 DEFAULT_BUDGET = 1 << 33
 
-# Inner-block sizing: packed blocks hold up to 3^10 codewords; generic
-# blocks are capped by total cells so memory stays modest.
-_PACK_BLOCK_CAP = 1 << 17
-_GENERIC_CELL_CAP = 1 << 22
+# The bytes one walk may hold: its inner block and every buffer a step
+# holds, as _inner_depth counts them. This keeps a walk's working set
+# inside a 2 MiB per-core L2 cache. Walks of 2-6 MiB (caps of 2^17 packed
+# columns or 2^22 generic cells) made the same counts with 15-19 % more
+# peak RSS, 4-6 times the minor page faults and 11 % more CPU on the 58
+# grid codes with q^K <= 10^7 (2 vCPUs, numpy 2.4).
+_WALK_BYTES = 1 << 20
 
 # Workers are only engaged when each has at least this many scalar classes
 # to score; below that, forking a child costs more than it saves. In
@@ -164,13 +169,31 @@ def _gray_steps(radix: int, ndigits: int):
             return
 
 
-def _inner_depth(q: int, K: int, N: int) -> int:
+def _inner_depth(field, K: int, N: int) -> int:
+    """The depth d <= K of the inner block of a scan over K free rows and
+    N coordinates: the largest whose walk holds at most _WALK_BYTES, and
+    at least 1 when K >= 1, however large one row's walk.
+
+    A walk over a block of n = q^d words holds, per word: the packed F_3
+    block's two planes and its diff and tmp planes, in 64-bit words, plus
+    one byte per plane word for the popcounts when there are several; or
+    the generic block in its own type and the bool differs mask; and, in
+    either engine, the byte of the target-weight mask and what the tally
+    holds (_WeightTally.nbytes).
+    """
+    q = field.q
     if q == 3:
-        cap = _PACK_BLOCK_CAP
+        W = (N + 63) // 64
+        col = 32 * W + (W if W > 1 else 0)
     else:
-        cap = max(q, _GENERIC_CELL_CAP // max(N, 1))
-    d = 0
-    while d < K and q ** (d + 1) <= cap:
+        col = N * (_generic_dtype(field).itemsize + 1)
+
+    def walk_bytes(n):
+        return n * (col + 1) + _WeightTally.nbytes(N, n)
+
+    cap = max(_WALK_BYTES, walk_bytes(q))
+    d = min(K, 1)
+    while d < K and walk_bytes(q ** (d + 1)) <= cap:
         d += 1
     return d
 
@@ -198,7 +221,7 @@ class _WeightTally:
 
     def __init__(self, N: int, n: int):
         self.N = N
-        if N < 256 and n >= 128 * (N + 1):
+        if self._in_pairs(N, n):
             buf = np.zeros(n + n % 2, dtype=np.uint8)
             self._pairs = buf.view(np.uint16)
             self._tally = np.zeros(256 * (N + 1), dtype=np.int64)
@@ -209,6 +232,19 @@ class _WeightTally:
         self.weights = buf[:n]
         self._padded = len(buf) - n
         self._steps = 0
+
+    @staticmethod
+    def _in_pairs(N: int, n: int) -> bool:
+        return N < 256 and n >= 128 * (N + 1)
+
+    @staticmethod
+    def nbytes(N: int, n: int) -> int:
+        """The most bytes a tally of n weights holds during add(): the
+        weights, the intp copy of what np.bincount counts (8 bytes per
+        weight, or per pair), the counts and one step's bincount of them."""
+        if _WeightTally._in_pairs(N, n):
+            return n * (1 + 4) + 2 * 8 * 256 * (N + 1)
+        return n * (np.min_scalar_type(N).itemsize + 8) + 2 * 8 * (N + 1)
 
     def add(self) -> None:
         """Count the current weights."""
@@ -245,22 +281,47 @@ def _pack3(v: np.ndarray, W: int) -> np.ndarray:
     return np.packbits(bits, axis=1, bitorder="little").view("<u8")
 
 
-def _add3(al, ah, bl, bh):
-    """Coordinatewise sum in F_3 on bitplanes (broadcasts)."""
-    cl = ((al ^ bl) & ~(ah | bh)) | (ah & bh)
-    ch = ((ah ^ bh) & ~(al | bl)) | (al & bl)
-    return cl, ch
+def _add3(al, ah, bl, bh, out=None):
+    """Coordinatewise sum in F_3 on bitplanes (broadcasts).
+
+    With `out`, a (low, high) pair of planes that shares no memory with
+    the operands, the sum is written there, through one temporary plane.
+    """
+    if out is None:
+        cl = ((al ^ bl) & ~(ah | bh)) | (ah & bh)
+        ch = ((ah ^ bh) & ~(al | bl)) | (al & bl)
+        return cl, ch
+    tmp = np.empty_like(out[0])
+    for c, a, b, x, y in zip(out, (al, ah), (bl, bh), (ah, al), (bh, bl)):
+        # c = ((a ^ b) & ~(x | y)) | (x & y)
+        np.bitwise_or(x, y, out=c)
+        np.invert(c, out=c)
+        c &= np.bitwise_xor(a, b, out=tmp)
+        c |= np.bitwise_and(x, y, out=tmp)
+    return out
 
 
 def _block3(field, rows):
-    """All 3^d combinations of the d rows, those of the last j rows first."""
+    """All 3^d combinations of the d rows, those of the last j rows first.
+
+    The block is allocated once and filled in place, as the generic one
+    is: with the combinations of the last j rows in its first n = 3^j
+    columns, columns n..2n and 2n..3n become those plus and minus the row
+    before them.
+    """
     W = (rows.shape[1] + 63) // 64
-    block = np.zeros((2, W, 1), dtype=np.uint64)
+    block = np.zeros((2, W, 3 ** len(rows)), dtype=np.uint64)
+    n = 1
     for r in rows[::-1]:
         lo, hi = (x[:, None] for x in _pack3(r, W))
-        plus = _add3(block[0], block[1], lo, hi)
-        minus = _add3(block[0], block[1], hi, lo)  # -r: the planes swapped
-        block = np.concatenate([block, np.stack(plus), np.stack(minus)], axis=2)
+        # -r has the planes of r swapped. One plane word at a time, every
+        # operand is one run of memory apart from the part it fills, so
+        # numpy copies none of them to rule out an overlap.
+        for s, (sl, sh) in enumerate(((lo, hi), (hi, lo)), 1):
+            for w in range(W):
+                done = block[:, w, :n]
+                _add3(done[0], done[1], sl[w], sh[w], out=block[:, w, s * n : (s + 1) * n])
+        n *= 3
     return block
 
 
@@ -292,8 +353,9 @@ def _walk3(field, block, outer, offset, target_w):
         if raw is not None:
             hits = weights == target_w
             if hits.any():
-                for col in diff[:, hits].T:
-                    raw.add(tuple(col.tolist()))
+                # column by column: diff[:, hits] would copy them all at once
+                for j in hits.nonzero()[0]:
+                    raw.add(tuple(diff[:, j].tolist()))
 
     score()
     for pos, delta in _gray_steps(3, len(steps)):
@@ -318,6 +380,10 @@ def _unpack_support_words(words: tuple[int, ...]) -> tuple[int, ...]:
 # sum of two entries before it is reduced.
 
 
+def _generic_dtype(field) -> np.dtype:
+    return np.min_scalar_type(2 * (field.q - 1) if field.e == 1 else field.q - 1)
+
+
 def _block_generic(field, rows):
     """All q^d combinations of the d rows, those of the last j rows first.
 
@@ -331,7 +397,7 @@ def _block_generic(field, rows):
     """
     q, p, e = field.q, field.p, field.e
     N, d = rows.shape[1], len(rows)
-    dtype = np.min_scalar_type(2 * (q - 1) if e == 1 else q - 1)
+    dtype = _generic_dtype(field)
     block = np.zeros((N, q**d), dtype=dtype)
     if d:
         for s in range(1, q):
@@ -381,8 +447,8 @@ def _walk_generic(field, block, outer, offset, target_w):
         if supports is not None:
             hits = weights == target_w
             if hits.any():
-                for col in differs[:, hits].T:
-                    supports.add(tuple(np.flatnonzero(col).tolist()))
+                for j in hits.nonzero()[0]:
+                    supports.add(tuple(differs[:, j].nonzero()[0].tolist()))
 
     score()
     for pos, delta in _gray_steps(field.p, len(steps)):
@@ -410,7 +476,7 @@ class _ClassScan:
     def __init__(self, field, G, target_w):
         K, N = G.shape
         self.field, self.G, self.target_w = field, G, target_w
-        self.depth = _inner_depth(field.q, K - 1, N)
+        self.depth = _inner_depth(field, K - 1, N)
         build, self.walk = (_block3, _walk3) if field.q == 3 else (_block_generic, _walk_generic)
         self.block = build(field, G[K - self.depth :])
 

@@ -99,10 +99,10 @@ def test_distribution_matches_exhaustive_oracle():
 def test_generic_walk_covers_extension_fields(q, monkeypatch):
     # A one-row inner block leaves two symbols to the outer walk, which
     # must step each through all of F_q, not only its prime subfield.
-    monkeypatch.setattr(analyze, "_GENERIC_CELL_CAP", 1)
+    monkeypatch.setattr(analyze, "_WALK_BYTES", 1)
     monkeypatch.setattr(analyze, "_MIN_WORKER_STEPS", 1)
     C = prm_code(field_make(q), 1, 2)
-    assert analyze._inner_depth(q, C.K, C.N) == 1 < C.K
+    assert analyze._inner_depth(C.field, C.K, C.N) == 1 < C.K
     expected = ref_weight_distribution(C.field, C.G.a)
     for workers in (1, 2):
         got = weight_distribution(C, workers=workers)
@@ -161,9 +161,11 @@ def test_prime_field_sums_past_a_byte_are_exact():
 def test_generic_block_is_built_in_place(n, k, q, bound):
     # The block is allocated once; building it needs little beyond it:
     # a part of it per add (1/q of it), or over an odd extension field
-    # the part's 8-byte table indices.
+    # the part's 8-byte table indices. Blocks of 0.6-2.4 MB, where the
+    # fixed costs of a build are small beside the block.
+    depth = {5: 6, 4: 7, 7: 5, 8: 5, 9: 4}[q]
     C = prm_code(field_make(q), n, k)
-    rows = C.G.a[C.K - analyze._inner_depth(q, C.K - 1, C.N) :]
+    rows = C.G.a[C.K - depth :]
     tracemalloc.start()
     try:
         block = analyze._block_generic(C.field, rows)
@@ -186,14 +188,72 @@ def test_one_row_generic_block_builds_no_addition_table():
     assert np.array_equal(block[:, 1], rows[0]) and peak < 2 * block.nbytes
 
 
+@pytest.mark.parametrize("d,N", [(9, 40), (10, 40), (7, 200)])
+def test_packed_block_is_built_in_place(d, N):
+    # Column j holds the message whose base-3 digits are j, the last row
+    # least significant, packed; building it needs little beyond the
+    # block, one plane word's temporary per add.
+    rows = np.random.default_rng(d * N).integers(0, 3, size=(d, N))
+    tracemalloc.start()
+    try:
+        block = analyze._block3(field_make(3), rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * block.nbytes
+    digits = np.array(list(itertools.product(range(3), repeat=d)))
+    words = digits @ rows % 3
+    W = (N + 63) // 64
+    for plane, trit in enumerate((1, 2)):
+        bits = np.zeros((3**d, 64 * W), dtype=bool)
+        bits[:, :N] = words == trit
+        packed = np.packbits(bits, axis=1, bitorder="little").view("<u8")
+        assert np.array_equal(block[plane], packed.T)
+
+
+@pytest.mark.parametrize("supports", [False, True], ids=["counts", "supports"])
+@pytest.mark.parametrize("N", [40, 200], ids=["one-word", "four-words"])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 131])
+def test_walk_holds_at_most_the_byte_budget(q, N, supports):
+    # A code with one free row past the inner block, so that stratum 0,
+    # the largest piece, walks q steps over the whole block. What a scan
+    # holds beyond the walk (the generator, the packed outer rows, the
+    # supports found) is small here, within the slack.
+    f = field_make(q)
+    K = analyze._inner_depth(f, N, N) + 2
+    C = code_from_rows(f, np.random.default_rng(q * N).integers(0, q, size=(K, N)))
+    assert C.K == K
+    target_w = min_distance(C) if supports else None
+    tracemalloc.start()
+    try:
+        scan = analyze._ClassScan(f, C.G.a, target_w)
+        counts, found = scan.run((0, ()))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert scan.depth == K - 2 and counts.sum() == q ** (K - 1)
+    assert (found is not None) == supports
+    assert peak <= analyze._WALK_BYTES + (64 << 10)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9, 131, 256])
+def test_inner_depth_keeps_one_row_past_the_budget(q):
+    # A walk of one row over a million coordinates holds far more than the
+    # budget, yet every scan with a free row walks a block of one row;
+    # where the budget holds q^2 short words, two free rows are the limit.
+    f = field_make(q)
+    assert analyze._inner_depth(f, 0, 10**6) == 0
+    assert analyze._inner_depth(f, 1, 10**6) == analyze._inner_depth(f, 5, 10**6) == 1
+    assert analyze._inner_depth(f, 2, 4) == 2
+
+
 # One code per field with K >= 4 rows, so that with the inner blocks capped
 # at one row the outer walk, split strata and prefix blocks all run.
 CLASS_SCAN_CODES = {2: (3, 1), 3: (2, 2), 4: (1, 3), 5: (1, 3), 7: (1, 3), 8: (1, 3), 9: (1, 3)}
 
 
 def one_row_inner_blocks(monkeypatch):
-    monkeypatch.setattr(analyze, "_GENERIC_CELL_CAP", 1)
-    monkeypatch.setattr(analyze, "_PACK_BLOCK_CAP", 3)
+    monkeypatch.setattr(analyze, "_WALK_BYTES", 1)
     monkeypatch.setattr(analyze, "_MIN_WORKER_STEPS", 1)
 
 
@@ -202,7 +262,7 @@ def test_class_scan_matches_oracle(q, monkeypatch):
     one_row_inner_blocks(monkeypatch)
     n, k = CLASS_SCAN_CODES[q]
     C = prm_code(field_make(q), n, k)
-    assert analyze._inner_depth(q, C.K - 1, C.N) == 1 < C.K - 2
+    assert analyze._inner_depth(C.field, C.K - 1, C.N) == 1 < C.K - 2
     expected = ref_weight_distribution(C.field, C.G.a)
     w = min_dist_formula(n, k, q)
     reference_blocks = ref_supports(C.field, C.G.a, w)
