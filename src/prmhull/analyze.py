@@ -705,35 +705,18 @@ def min_distance(
     return int(np.flatnonzero(counts[1:])[0]) + 1
 
 
-def min_weight_supports(
-    C: LinearCode,
-    w: int,
-    budget: int = DEFAULT_BUDGET,
-    workers: int = 1,
-) -> BlockFamily:
-    """Deduplicated supports of all weight-w codewords.
-
-    Scalar multiples share a support, so the scan takes the support of one
-    word per scalar class and the block count is at most A_w/(q-1);
-    whether two classes share a support is measured, not assumed.
-
-    Raises:
-        BudgetExceeded: if q^K > budget.
-    """
-    _, fam = weight_distribution_with_supports(C, w, budget, workers)
-    return fam
-
-
 def weight_distribution_with_supports(
     C: LinearCode,
     w: int,
     budget: int = DEFAULT_BUDGET,
     workers: int = 1,
 ):
-    """Distribution and weight-w supports from a single pass.
+    """Distribution and the deduplicated supports of all weight-w words,
+    from a single scan.
 
-    Equivalent to calling weight_distribution and min_weight_supports
-    separately, at the cost of one scan instead of two.
+    Scalar multiples share a support, so the scan takes the support of one
+    word per scalar class and the block count is at most A_w/(q-1);
+    whether two classes share a support is measured, not assumed.
 
     Returns:
         (WeightDistribution, BlockFamily) pair.

@@ -277,7 +277,9 @@ def cmd_dual_check(args) -> int:
     field = field_make(args.q)
     desc = dual_description(args.n, args.k, args.q)
     C = prm_code(field, args.n, args.k)
-    verified, ones_outside = verify_dual(C, prm_code(field, args.n, desc.ell))
+    # at the self-dual degree the base is C itself, built once
+    base = C if desc.ell == args.k else prm_code(field, args.n, desc.ell)
+    verified, ones_outside = verify_dual(C, base)
     ok = verified and ones_outside is not False
     if args.json:
         _emit_json(

@@ -231,7 +231,7 @@ def contains_vector(C: LinearCode, v) -> bool:
     canonical basis, and membership means the residual vanishes (adding
     v does not raise the rank).
     """
-    v = MatrixFq(C.field, np.asarray(v, dtype=np.int32).reshape(1, -1)).a
+    v = MatrixFq(C.field, np.asarray(v).reshape(1, -1)).a
     if v.shape[1] != C.N:
         raise DimensionMismatch(f"vector length {v.shape[1]}, code length {C.N}")
     return C.canonical().contains_rows(v)
@@ -252,5 +252,5 @@ def code_from_rows(field: Field, rows, label: str = "") -> LinearCode:
     The rows are canonicalized first, so the resulting generator is the
     RREF basis of their span.
     """
-    M = MatrixFq(field, np.asarray(rows, dtype=np.int32))
+    M = MatrixFq(field, rows)
     return LinearCode.from_basis(SubspaceBasis.from_matrix(M), label=label)

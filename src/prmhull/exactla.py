@@ -65,11 +65,17 @@ class MatrixFq:
     """
 
     def __init__(self, field: Field, entries):
-        a = np.asarray(entries, dtype=np.int32)
+        a = np.asarray(entries)
         if a.ndim != 2:
             raise DimensionMismatch(f"expected a 2-D array, got shape {a.shape}")
-        if a.size and (a.min() < 0 or a.max() >= field.q):
+        # checked as given, before a cast to int32 could wrap or truncate
+        if a.size and not (a.min() >= 0 and a.max() < field.q):
             raise ValueError(f"entries must be indices in 0..{field.q - 1}")
+        if a.dtype != np.int32:
+            b = a.astype(np.int32)
+            if not np.array_equal(a, b):
+                raise ValueError(f"entries must be indices in 0..{field.q - 1}")
+            a = b
         self.field = field
         self.a = a
 
@@ -110,13 +116,13 @@ class MatrixFq:
         q, rows, cols = (int(x) for x in head)
         if len(lines) - 1 != rows:
             raise ValueError(f"expected {rows} rows, got {len(lines) - 1}")
-        data = np.zeros((rows, cols), dtype=np.int32)
+        data = []
         for i, ln in enumerate(lines[1:]):
             vals = ln.split()
             if len(vals) != cols:
                 raise ValueError(f"row {i} has {len(vals)} entries, expected {cols}")
-            data[i] = [int(v) for v in vals]
-        return cls(field_make(q), data)
+            data.append([int(v) for v in vals])
+        return cls(field_make(q), np.array(data).reshape(rows, cols))
 
 
 class SubspaceBasis:

@@ -76,11 +76,6 @@ def projective_points(field: Field, n: int) -> ProjectivePointSet:
     return ProjectivePointSet(field, n, pts)
 
 
-def affine_points(field: Field, n: int) -> np.ndarray:
-    """All q^n points of F_q^n, lexicographic by index, last coordinate fastest."""
-    return _lex_tuples(field.q, n)
-
-
 def monomials_of_degree(n: int, k: int) -> list[Monomial]:
     """All C(n+k, k) exponent tuples of total degree k in n+1 variables.
 

@@ -1,4 +1,4 @@
-"""Projective and affine Reed-Muller codes and their closed-form oracles.
+"""Projective Reed-Muller codes and their closed-form oracles.
 
 The construction side builds generator matrices by evaluating reduced
 monomials at projective points. The oracle side evaluates every closed
@@ -9,7 +9,6 @@ two can be checked against each other on any parameter point.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -29,7 +28,6 @@ from .exactla import MatrixFq, SubspaceBasis
 from .field import Field
 from .geometry import (
     Monomial,
-    affine_points,
     evaluate,
     evaluate_rows,
     monomials_of_degree,
@@ -311,19 +309,6 @@ def prm_code(field: Field, n: int, k: int) -> PrmCode:
             f"constructed rank {C.K} != formula dimension {expected} at n={n}, k={k}, q={q}"
         )
     return C
-
-
-def arm_code(field: Field, n: int, k: int) -> LinearCode:
-    """The affine code of order k on F_q^n: evaluations of all reduced
-    monomials (every exponent <= q-1) of total degree <= k."""
-    if n < 1 or k < 0:
-        raise OutOfRange(f"need n >= 1, k >= 0; got n={n}, k={k}")
-    q = field.q
-    pts = affine_points(field, n)
-    monos = [m for m in itertools.product(range(q), repeat=n) if sum(m) <= k]
-    monos.sort(key=lambda m: (-sum(m), tuple(-a for a in m)))
-    G = field.power_products(monos, pts)
-    return LinearCode(MatrixFq(field, G), label=f"ARM(n={n},k={k},q={q})")
 
 
 def described_dual_code(field: Field, n: int, k: int) -> LinearCode:

@@ -23,8 +23,8 @@ from prmhull.analyze import (
     WeightDistribution,
     design_lambda,
     min_distance,
-    min_weight_supports,
     weight_distribution,
+    weight_distribution_with_supports,
 )
 from prmhull.code import LinearCode, code_from_rows, dual
 from prmhull.errors import BudgetExceeded, InternalInconsistency, OutOfRange
@@ -305,7 +305,8 @@ def test_class_scan_supports_on_asymmetric_codes(q, rows, cols, monkeypatch):
     expected = ref_supports(C.field, C.G.a, w)
     assert len(expected) < math.comb(C.N, w)
     for workers in (1, 2):
-        assert min_weight_supports(C, w, workers=workers).blocks == expected, workers
+        fam = weight_distribution_with_supports(C, w, workers=workers)[1]
+        assert fam.blocks == expected, workers
         assert weight_distribution(C, workers=workers).counts.tolist() == counts, workers
     for stop_at in (None, w, w + 1):
         assert min_distance(C, stop_at=stop_at) == w, stop_at
@@ -329,7 +330,7 @@ def test_scan_visits_one_word_per_scalar_class(q, n, k, monkeypatch):
     for scan in (
         lambda: weight_distribution(C),
         lambda: min_distance(C),
-        lambda: min_weight_supports(C, min_dist_formula(n, k, q)),
+        lambda: weight_distribution_with_supports(C, min_dist_formula(n, k, q))[1],
     ):
         visited.clear()
         scan()
@@ -365,7 +366,7 @@ def test_worker_counts_below_one_raise_before_any_work(workers, monkeypatch):
     with pytest.raises(OutOfRange, match="workers"):
         analyze.weight_distribution_with_supports(C, 3, budget=1, workers=workers)
     with pytest.raises(OutOfRange, match="workers"):
-        min_weight_supports(C, 3, workers=workers)
+        weight_distribution_with_supports(C, 3, workers=workers)[1]
 
 
 def test_pieces_balance_two_workers():
@@ -403,7 +404,7 @@ def test_lost_messages_raise(monkeypatch):
         with pytest.raises(InternalInconsistency, match="enumerated 7 of 9"):
             weight_distribution(tetracode())
         with pytest.raises(InternalInconsistency, match="enumerated 7 of 9"):
-            min_weight_supports(tetracode(), 3)
+            weight_distribution_with_supports(tetracode(), 3)[1]
         # min_distance takes the same check, with no stop_at and with one
         # the scan never reaches: no tetracode word has weight below 3.
         for stop_at in (None, 3):
@@ -419,7 +420,7 @@ def test_lost_messages_raise(monkeypatch):
     with pytest.raises(InternalInconsistency, match="enumerated 7 of 9"):
         weight_distribution(tetracode(), workers=2)
     with pytest.raises(InternalInconsistency, match="enumerated 7 of 9"):
-        min_weight_supports(tetracode(), 3, workers=2)
+        weight_distribution_with_supports(tetracode(), 3, workers=2)[1]
 
 
 @pytest.mark.parametrize("q,n,k", [(3, 2, 2), (4, 1, 3), (2, 3, 1), (7, 1, 2)])
@@ -446,7 +447,7 @@ def test_serial_scan_walks_each_stratum_whole(q, n, k, monkeypatch):
         lambda: weight_distribution(C, workers=2),
         lambda: min_distance(C),
         lambda: min_distance(C, stop_at=D),
-        lambda: min_weight_supports(C, D, workers=2),
+        lambda: weight_distribution_with_supports(C, D, workers=2)[1],
     ):
         runs.clear()
         scan()
@@ -595,7 +596,7 @@ def test_budget_enforced():
     with pytest.raises(BudgetExceeded):
         min_distance(C, budget=100)
     with pytest.raises(BudgetExceeded):
-        min_weight_supports(C, 4, budget=100)
+        weight_distribution_with_supports(C, 4, budget=100)[1]
 
 
 def test_worker_count_invariance(monkeypatch):
@@ -845,7 +846,7 @@ def test_min_distance_zero_code():
 
 
 def test_tetracode_supports():
-    fam = min_weight_supports(tetracode(), 3)
+    fam = weight_distribution_with_supports(tetracode(), 3)[1]
     assert fam.ground_size == 4
     assert len(fam.blocks) == 4  # 8 words / 2 nonzero scalars
     assert all(len(b) == 3 for b in fam.blocks)
@@ -859,7 +860,7 @@ def test_ref_supports_by_hand_on_tetracode():
 
 
 def test_supports_below_distance_empty():
-    fam = min_weight_supports(tetracode(), 2)
+    fam = weight_distribution_with_supports(tetracode(), 2)[1]
     assert fam.blocks == ()
 
 
@@ -867,9 +868,9 @@ def test_supports_paths_and_workers_agree(monkeypatch):
     monkeypatch.setattr(analyze, "_MIN_WORKER_STEPS", 1)
     C = prm_code(field_make(3), 2, 2)
     w = min_distance(C)
-    base = min_weight_supports(C, w)
+    base = weight_distribution_with_supports(C, w)[1]
     assert ref_supports(C.field, C.G.a, w) == base.blocks
-    assert min_weight_supports(C, w, workers=3) == base
+    assert weight_distribution_with_supports(C, w, workers=3)[1] == base
     assert len(base.blocks) >= 1
 
 
@@ -878,16 +879,16 @@ def test_supports_multiword_packing():
     rng = np.random.default_rng(11)
     C = code_from_rows(field_make(3), rng.integers(0, 3, size=(4, 70)))
     w = min_distance(C)
-    packed = min_weight_supports(C, w)
+    packed = weight_distribution_with_supports(C, w)[1]
     assert packed.blocks == ref_supports(C.field, C.G.a, w)
     assert all(len(b) == w for b in packed.blocks)
 
 
 def test_supports_weight_validation():
     with pytest.raises(OutOfRange):
-        min_weight_supports(tetracode(), 0)
+        weight_distribution_with_supports(tetracode(), 0)[1]
     with pytest.raises(OutOfRange):
-        min_weight_supports(tetracode(), 5)
+        weight_distribution_with_supports(tetracode(), 5)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -895,7 +896,7 @@ def test_supports_weight_validation():
 
 
 def test_tetracode_design():
-    fam = min_weight_supports(tetracode(), 3)
+    fam = weight_distribution_with_supports(tetracode(), 3)[1]
     # All four 3-subsets of a 4-set: complete design at every t.
     assert design_lambda(fam, 1) == 3
     assert design_lambda(fam, 2) == 2
@@ -929,7 +930,7 @@ def test_projective_plane_code_gives_design():
     # Weight-9 words of the [13, 3, 9] code over F_3: the 13 lines of the
     # projective plane (complements of point sets of lines), a 2-design.
     C = prm_code(field_make(3), 2, 1)
-    fam = min_weight_supports(C, 9)
+    fam = weight_distribution_with_supports(C, 9)[1]
     lam = design_lambda(fam, 2)
     assert lam is not NOT_A_DESIGN
     assert len(fam.blocks) == 13

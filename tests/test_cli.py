@@ -252,8 +252,8 @@ def test_dual_check_adjoin_point(capsys):
 
 
 def test_dual_check_builds_each_code_once(capsys, monkeypatch):
-    # At (2, 2, 3) the dual-side degree n(q-1) - k is k itself: one build of
-    # C and one of the degree-ell code, which the duality check reuses for
+    # At (2, 2, 3) the dual-side degree n(q-1) - k is k itself, so the
+    # degree-ell code is C: one build, which the duality check reuses for
     # the described dual and for the all-ones test.
     real = prm.prm_code
     built = []
@@ -266,7 +266,34 @@ def test_dual_check_builds_each_code_once(capsys, monkeypatch):
     monkeypatch.setattr(prm, "prm_code", spy)
     code, out, _ = run(["dual-check", "--n", "2", "--k", "2", "--q", "3"], capsys)
     assert code == EXIT_OK and "agree: yes" in out
-    assert built == [2, 2]
+    assert built == [2]
+
+
+def test_dual_check_self_dual_degree_builds_and_reduces_once(capsys, monkeypatch):
+    # At (3, 12, 9) the degree-ell code is C, with no all-ones row
+    # adjoined: one evaluation and one row reduction, as in the sweep.
+    real_code, real_rref = prm.prm_code, exactla._rref_array
+    built, reduced = [], []
+
+    def spy_code(field, n, k):
+        built.append(k)
+        return real_code(field, n, k)
+
+    def spy_rref(field, A):
+        reduced.append(A.shape)
+        return real_rref(field, A)
+
+    monkeypatch.setattr(cli, "prm_code", spy_code)
+    monkeypatch.setattr(prm, "prm_code", spy_code)
+    monkeypatch.setattr(exactla, "_rref_array", spy_rref)
+    code, out, _ = run(["dual-check", "--n", "3", "--k", "12", "--q", "9"], capsys)
+    assert code == EXIT_OK
+    assert out == (
+        "dual of C(n=3, k=12, q=9): degree ell=12, adjoin_ones=no\n"
+        "row-space equality: yes\n"
+        "agree: yes\n"
+    )
+    assert (built, reduced) == ([12], [(410, 820)])
 
 
 def test_dual_check_plain_point_json(capsys):
@@ -392,11 +419,13 @@ def test_wenum_read_matrix(tmp_path, capsys):
 
 
 def test_wenum_read_matrix_entry_out_of_range(tmp_path, capsys):
+    # entries past int32 too: read as given, not wrapped before the check
     path = tmp_path / "bad.txt"
-    path.write_text("3 1 2\n1 3\n")
-    code, _, err = run(["wenum", "--read-matrix", str(path)], capsys)
-    assert code == EXIT_USAGE
-    assert "bad matrix file" in err
+    for row in ("1 3", "99999999999 1", "-99999999999 1"):
+        path.write_text(f"3 1 2\n{row}\n")
+        code, out, err = run(["wenum", "--read-matrix", str(path)], capsys)
+        assert code == EXIT_USAGE and out == "", row
+        assert err.startswith("error: bad matrix file") and "Traceback" not in err, row
 
 
 @pytest.mark.parametrize("text", ["", "3 2\n0 1\n"])

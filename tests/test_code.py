@@ -540,6 +540,12 @@ def test_contains_vector_rejects_entries_outside_the_field():
     # 4 is not an element index of GF(3); it must not be read as 4 mod 3 = 1.
     with pytest.raises(ValueError):
         contains_vector(tetracode(), [4, 1, 1, 0])
+    # nor 2^32 + 1 as its int32 wrap 1, which would make this a codeword
+    v = np.array([1, 1, 1, 0], dtype=np.int64)
+    assert contains_vector(tetracode(), v)
+    v[0] += 2**32
+    with pytest.raises(ValueError):
+        contains_vector(tetracode(), v)
 
 
 def test_equal_codes_ignores_basis_choice():

@@ -720,6 +720,17 @@ class TestTransposeAndText:
         with pytest.raises(ValueError, match="header"):
             MatrixFq.from_text("3 2\n0 1\n")
 
+    @pytest.mark.parametrize(
+        "entry",
+        [np.int64(2**32 + 1), 1.5, 2**40, 2**70],
+        ids=["int64-2^32+1", "float-1.5", "int-2^40", "int-2^70"],
+    )
+    def test_matrix_rejects_entries_a_cast_would_change(self, entry):
+        # a cast to int32 would wrap, truncate or overflow each of these,
+        # so the values are checked as given
+        with pytest.raises(ValueError, match="indices in 0..2"):
+            MatrixFq(field_make(3), [[entry, 1]])
+
     def test_matrix_needs_two_dimensions(self):
         with pytest.raises(DimensionMismatch):
             MatrixFq(field_make(3), [0, 1, 2])

@@ -10,7 +10,6 @@ import pytest
 from prmhull import geometry
 from prmhull.field import field_make
 from prmhull.geometry import (
-    affine_points,
     evaluate,
     evaluate_rows,
     monomials_of_degree,
@@ -78,17 +77,6 @@ class TestProjectivePoints:
         for p in P.pts.tolist():
             lead = next(x for x in p if x)
             assert lead == 1
-
-
-class TestAffinePoints:
-    def test_order_and_count(self):
-        pts = affine_points(field_make(3), 2)
-        assert pts.shape == (9, 2)
-        assert pts[:4].tolist() == [[0, 0], [0, 1], [0, 2], [1, 0]]
-
-    def test_unique(self):
-        pts = affine_points(field_make(4), 3)
-        assert len({tuple(p) for p in pts.tolist()}) == 64
 
 
 class TestMonomials:

@@ -1,4 +1,4 @@
-"""Tests for projective/affine Reed-Muller construction and closed forms."""
+"""Tests for projective Reed-Muller construction and closed forms."""
 
 from __future__ import annotations
 
@@ -17,7 +17,6 @@ from prmhull.prm import (
     NO_CLOSED_FORM,
     DualDescription,
     PrmParams,
-    arm_code,
     check_hull_basis,
     classification_report,
     classify_predicted,
@@ -203,35 +202,6 @@ def test_prm_code_rejects_bad_parameters():
         prm_code(f, 0, 1)
     with pytest.raises(OutOfRange):
         prm_code(f, 2, -1)
-    with pytest.raises(OutOfRange):
-        arm_code(f, 0, 1)
-
-
-# ---------------------------------------------------------------------------
-# affine codes
-
-
-def test_affine_line_code():
-    C = arm_code(field_make(3), 1, 1)
-    assert (C.N, C.K) == (3, 2)
-    # Basis {x, 1} in degree-descending order.
-    assert C.G.a.tolist() == [[0, 1, 2], [1, 1, 1]]
-
-
-def test_affine_full_space():
-    q = 3
-    C = arm_code(field_make(q), 2, 2 * (q - 1))
-    assert C.K == C.N == q * q
-
-
-def test_affine_duality():
-    for q in (2, 3, 4):
-        f = field_make(q)
-        for n in (1, 2):
-            for k in range(0, n * (q - 1)):
-                D = dual(arm_code(f, n, k))
-                E = arm_code(f, n, n * (q - 1) - k - 1)
-                assert equal_codes(D, E), (n, k, q)
 
 
 # ---------------------------------------------------------------------------
