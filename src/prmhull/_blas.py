@@ -6,10 +6,12 @@ pool speeds the larger ones up by a fifth or so, but after every threaded
 call its other threads spin for about 0.1 s, so a sweep keeps a second
 CPU busy from start to end. `one_thread` sets OpenBLAS to one thread for the
 length of a block and then restores the count it read. The entry points
-are looked up on first use, never at import: in numpy's bundled
-libraries, or else in a mapped library whose file name contains
-"openblas" (/proc/self/maps). Where none is found (MKL, Accelerate,
-BLIS), it does nothing.
+are looked up on first use, never at import, through numpy's compiled core
+module: a handle on it also finds the symbols of the libraries it links,
+whatever their file names, so the pool set is that of the BLAS numpy calls.
+On Windows, where a module's handle does not reach its imports, they are
+looked up in the OpenBLAS DLLs numpy bundles. Where none is found (MKL,
+Accelerate, BLIS), it does nothing.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
+import importlib
 import os
 
 import numpy as np
@@ -28,28 +31,21 @@ _ENTRY_NAMES = tuple(
     for suffix in ("64_", "")
 )
 
+# a module's handle reaches the libraries it links everywhere but Windows
+_WINDOWS = os.name == "nt"
+
 
 def _library_paths() -> list[str]:
-    """The OpenBLAS libraries numpy bundles, or else those mapped into this
-    process (numpy's first: another package's OpenBLAS, such as scipy's,
-    may be mapped too, and setting its pool would leave numpy's running)."""
-    root = os.path.dirname(np.__file__)
-    paths = []
-    for libs in (os.path.join(os.path.dirname(root), "numpy.libs"), os.path.join(root, ".dylibs")):
+    """numpy's compiled core module, or on Windows its bundled OpenBLAS DLLs."""
+    if _WINDOWS:
+        libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
         with contextlib.suppress(OSError):
-            paths += sorted(os.path.join(libs, n) for n in os.listdir(libs) if "openblas" in n)
-    if paths:
-        return paths
+            return sorted(os.path.join(libs, n) for n in os.listdir(libs) if "openblas" in n)
+        return []
     try:
-        with open("/proc/self/maps") as maps:
-            for line in maps:
-                # the path is the sixth field; a line without one ends in an inode
-                path = line.split(None, 5)[-1].strip()
-                if "openblas" in os.path.basename(path):
-                    paths.append(path)
-    except OSError:
-        pass
-    return list(dict.fromkeys(paths))
+        return [importlib.import_module("numpy._core._multiarray_umath").__file__]
+    except ImportError:
+        return []
 
 
 @functools.lru_cache(maxsize=None)

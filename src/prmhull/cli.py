@@ -627,8 +627,8 @@ def _check_rsj():
 def _check_full(budget: int, workers: int):
     C = prm_code(field_make(3), 3, 3)
     dist, fam = weight_distribution_with_supports(C, 9, budget=budget, workers=workers)
-    got = {w: c for w, c in dist.to_pairs()}
-    _check(got == REFERENCE_WEIGHT_DISTRIBUTIONS[(3, 3, 3)], "distribution")
+    ok, message = _reference_check(REFERENCE_WEIGHT_DISTRIBUTIONS[(3, 3, 3)], dist)
+    _check(ok, message)
     des = REFERENCE_DESIGNS[(3, 3, 3)]
     _check(len(fam.blocks) == des["blocks"], len(fam.blocks))
     _check(design_lambda(fam, des["t"]) == des["lambda"], "lambda")

@@ -211,7 +211,7 @@ class Field:
         return int(self._exp[self.q - 1 - self._log[a]])
 
     def pow(self, a: int, m: int) -> int:
-        """a^m with the convention 0^0 = 1."""
+        """a^m with the convention 0^0 = 1; a negative m raises ValueError."""
         return int(self.vpow(np.asarray(a), m))
 
     # -- vectorized operations ------------------------------------------------
@@ -277,7 +277,9 @@ class Field:
         return self._exp.take(self._log.take(a) + self._log.take(b))
 
     def vpow(self, a: np.ndarray, m: int) -> np.ndarray:
-        """Elementwise a^m with 0^0 = 1."""
+        """Elementwise a^m with 0^0 = 1; a negative m raises ValueError."""
+        if m < 0:
+            raise ValueError(f"negative exponent {m}")
         # m may exceed int64, so it is reduced modulo x^q = x here
         m = 0 if m == 0 else (m - 1) % (self.q - 1) + 1
         a = np.asarray(a)
@@ -287,8 +289,9 @@ class Field:
         """Entry [r, i] is the product over j of x[i, j]^exps[r, j], with 0^0 = 1.
 
         exps holds R rows of nonnegative int64 exponents, one per column of
-        the (N, m) index array x; a row of another length raises ValueError,
-        and so does m >= 2^53 / (q-1)^2, far beyond any point's coordinates.
+        the (N, m) index array x; a negative exponent or a row of another
+        length raises ValueError, and so does m >= 2^53 / (q-1)^2, far
+        beyond any point's coordinates.
         """
         # Reducing positive exponents modulo x^q = x keeps every value,
         # 0^t = 0 included, and bounds the exponent product below.
@@ -296,6 +299,8 @@ class Field:
         # positive exponent is 0, when the product is 0 (the log sentinel).
         q1 = self.q - 1
         exps = np.array(exps, dtype=np.int64).reshape(len(exps), x.shape[1])
+        if (exps < 0).any():
+            raise ValueError(f"negative exponent {exps.min()}")
         pos = exps > 0
         exps[pos] = (exps[pos] - 1) % q1 + 1
         logs = self._log.take(x)

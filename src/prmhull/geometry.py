@@ -87,7 +87,10 @@ def monomials_of_degree(n: int, k: int) -> list[Monomial]:
 
 def reduce_monomial(m: Monomial, q: int) -> Monomial:
     """Reduce each exponent modulo x^q = x: t > 0 maps to b with
-    t = a(q-1) + b and 0 < b <= q-1; zero exponents stay zero."""
+    t = a(q-1) + b and 0 < b <= q-1; zero exponents stay zero, and a
+    negative one raises ValueError."""
+    if any(t < 0 for t in m):
+        raise ValueError(f"negative exponent in {tuple(m)}")
     return tuple(0 if t == 0 else (t - 1) % (q - 1) + 1 for t in m)
 
 
@@ -131,7 +134,8 @@ def evaluate(m: Monomial, P: ProjectivePointSet) -> np.ndarray:
     """Evaluate the monomial at every point, with the convention 0^0 = 1.
 
     Raises:
-        ValueError: if m does not have one exponent per coordinate.
+        ValueError: if m does not have one exponent per coordinate, or has
+            a negative one.
     """
     return P.field.power_products([m], P.pts)[0]
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import io
 import os
 import subprocess
 import sys
@@ -146,37 +145,36 @@ def test_concurrent_products_restore_the_count(fake):
     assert wrong == [] and fake.count == 4 and set(fake.sets) <= {1, 4}
 
 
-def _fake_numpy(monkeypatch, root, bundled, maps):
+def _fake_numpy(monkeypatch, root, bundled):
     """Point the lookup at a numpy installed under root, bundling the
-    library names in bundled, in a process whose maps list the paths maps."""
+    library names in bundled."""
     (root / "numpy").mkdir()
     if bundled:
         (root / "numpy.libs").mkdir()
         for name in bundled:
             (root / "numpy.libs" / name).touch()
     fake_np = types.SimpleNamespace(__file__=str(root / "numpy" / "__init__.py"))
-    lines = [f"7f00-7f01 r-xp 00000000 08:01 42  {path}\n" for path in maps]
-    lines.insert(1, "7f02-7f03 rw-p 00000000 00:00 0\n")  # anonymous: no path
-
-    def fake_open(path, *args, **kwargs):
-        assert path == "/proc/self/maps"
-        return io.StringIO("".join(lines))
-
     monkeypatch.setattr(_blas, "np", fake_np)
-    monkeypatch.setattr(_blas, "open", fake_open, raising=False)
 
 
-def test_lookup_takes_numpy_bundled_library_before_a_mapped_decoy(monkeypatch, tmp_path):
-    # scipy's own OpenBLAS, mapped first, must not be the one whose pool is set
-    decoy = "/site/scipy.libs/libscipy_openblas-0123.so"
-    _fake_numpy(monkeypatch, tmp_path, ["libgfortran.so.5", "libscipy_openblas64_-ab.so"], [decoy])
-    assert _blas._library_paths() == [str(tmp_path / "numpy.libs" / "libscipy_openblas64_-ab.so")]
+@pytest.mark.parametrize(
+    "bundled, found",
+    [
+        (["libgfortran.dll", "libscipy_openblas64_-ab.dll"], ["libscipy_openblas64_-ab.dll"]),
+        ([], []),
+    ],
+    ids=["bundled", "none"],
+)
+def test_windows_lookup_lists_numpy_bundled_dlls(monkeypatch, tmp_path, bundled, found):
+    monkeypatch.setattr(_blas, "_WINDOWS", True)
+    _fake_numpy(monkeypatch, tmp_path, bundled)
+    assert _blas._library_paths() == [str(tmp_path / "numpy.libs" / n) for n in found]
 
 
-def test_lookup_falls_back_to_mapped_libraries(monkeypatch, tmp_path):
-    maps = ["/usr/lib/libopenblas.so.0", "/usr/lib/libm.so.6", "/usr/lib/libopenblas.so.0"]
-    _fake_numpy(monkeypatch, tmp_path, [], maps)
-    assert _blas._library_paths() == ["/usr/lib/libopenblas.so.0"]
+def test_lookup_without_numpy_core_module_finds_nothing(monkeypatch):
+    monkeypatch.setattr(_blas, "_WINDOWS", False)
+    monkeypatch.setitem(sys.modules, "numpy._core._multiarray_umath", None)
+    assert _blas._library_paths() == []
 
 
 @pytest.mark.parametrize(
@@ -193,21 +191,46 @@ def test_products_without_an_entry_point_match_the_oracles(monkeypatch, no_looku
     assert f.power_products(exps, x).tolist() == _ref_power_products(f, exps, x)
 
 
+def _run_python(code: str) -> None:
+    """Run code in a fresh interpreter that imports this checkout's prmhull."""
+    env = {**os.environ, "PYTHONPATH": str(Path(exactla.__file__).resolve().parents[1])}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=120)
+
+
 def test_import_makes_no_lookup():
-    src = Path(exactla.__file__).resolve().parents[1]
     code = (
         "import prmhull, prmhull.cli\n"
         "from prmhull import _blas\n"
         "assert _blas._entry_points.cache_info().misses == 0\n"
     )
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=120)
+    _run_python(code)
+
+
+def test_lookup_finds_numpy_openblas_with_scipy_loaded_first():
+    # scipy's wheel maps its own OpenBLAS; the entry found must be numpy's
+    bundled = sorted((Path(np.__file__).parents[1] / "numpy.libs").glob("*openblas*"))
+    if not bundled:
+        pytest.skip("numpy bundles no OpenBLAS")
+    code = (
+        "import contextlib, ctypes\n"
+        "with contextlib.suppress(ImportError):\n"
+        "    import scipy.linalg\n"
+        "from prmhull import _blas\n"
+        "found = _blas._entry_points()[1]\n"
+        f"own = getattr(ctypes.CDLL({str(bundled[0])!r}), found.__name__)\n"
+        "address = lambda f: ctypes.cast(f, ctypes.c_void_p).value\n"
+        "assert address(found) == address(own), found.__name__\n"
+    )
+    _run_python(code)
 
 
 @pytest.fixture
 def real_blas(no_lookup_cache):
     entry = _blas._entry_points()
     if entry is None:
+        # a numpy on OpenBLAS whose entries are not found would spin its pool
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+        assert "openblas" not in blas, f"numpy links {blas}, but no entry point was found"
         pytest.skip("no OpenBLAS thread-count entry points in this numpy")
     get, set_ = entry
     before = get()

@@ -1201,7 +1201,8 @@ def test_selftest_full_checks_the_reference_enumeration(
     capsys, monkeypatch, c333_scan, corrupt
 ):
     # The 3^20 scan is replaced by the embedded distribution and the shared
-    # scan's weight-9 supports; a corrupted coefficient fails the step.
+    # scan's weight-9 supports; a corrupted coefficient fails the step, which
+    # names the weight and both counts.
     scan = _full_selftest_scan(c333_scan["fam"], corrupt)
     monkeypatch.setattr(cli, "weight_distribution_with_supports", scan)
     code, out, _ = run(["selftest", "--full"], capsys)
@@ -1209,7 +1210,8 @@ def test_selftest_full_checks_the_reference_enumeration(
     if corrupt:
         assert code == EXIT_INTERNAL
         assert lines[-2] == (
-            "FAIL full-reference-enumeration: InternalInconsistency('distribution')"
+            "FAIL full-reference-enumeration: InternalInconsistency("
+            "'reference check: FAIL at weight 12: expected 18720, got 18721')"
         )
         assert lines[-1].startswith("selftest: FAIL (8 checks, 1 failures, ")
     else:

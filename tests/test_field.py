@@ -100,6 +100,16 @@ class TestScalarArithmetic:
         assert f.pow(0, 1) == 0
         assert f.pow(0, 8) == 0  # 0^(q-1) stays 0
 
+    def test_negative_exponent_rejected(self):
+        # 0^-1 has no value; -1 must not be read as an exponent mod q - 1
+        f = field_make(5)
+        with pytest.raises(ValueError, match="negative exponent"):
+            f.pow(0, -1)
+        with pytest.raises(ValueError, match="negative exponent"):
+            f.vpow(np.arange(5), -1)
+        with pytest.raises(ValueError, match="negative exponent"):
+            f.power_products([[1, 2], [0, -1]], np.array([[0, 1], [2, 3]]))
+
     @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 49, 64])
     def test_field_axioms_full_tables(self, q):
         f = field_make(q)

@@ -107,6 +107,10 @@ class TestReduce:
         assert reduce_monomial((3,), 4) == (3,)  # q-1 maps to q-1, not 0
         assert reduce_monomial((0, 7), 3) == (0, 1)
 
+    def test_negative_exponent_rejected(self):
+        with pytest.raises(ValueError, match="negative exponent"):
+            reduce_monomial((-1, 2), 5)
+
     @pytest.mark.parametrize("q", SWEEP_Q)
     def test_range_and_congruence(self, q):
         rng = np.random.default_rng(q)
@@ -231,6 +235,12 @@ class TestEvaluate:
         P = projective_points(field_make(3), 2)
         with pytest.raises(ValueError):
             evaluate((1, 0), P)
+
+    def test_negative_exponent_rejected(self):
+        # at the point (0, 1), x0^-1 would be 0^-1
+        P = projective_points(field_make(5), 1)
+        with pytest.raises(ValueError, match="negative exponent"):
+            evaluate((-1, 0), P)
 
     @pytest.mark.parametrize("monos", [[(1, 0)], [(1, 0, 0), (1, 0)], [(1, 0, 0, 0)] * 3])
     def test_evaluate_rows_wrong_arity_rejected(self, monos):
